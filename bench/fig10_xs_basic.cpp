@@ -20,7 +20,7 @@
 #include "core/scenario.hpp"
 #include "mc/mc_sim_workload.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace adcc;
   Options opts(argc, argv);
   opts.doc("lookups", "total lookups", "200000 (quick: 50000)")
@@ -82,4 +82,7 @@ int main(int argc, char** argv) {
   std::printf("max per-type gap: %.2f pp (paper observed visible divergence, up to ~8 pp)\n",
               mc::max_percentage_gap(ref, bad, lookups));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig10_xs_basic: %s\n", e.what());
+  return 2;
 }

@@ -20,7 +20,7 @@
 #include "core/scenario.hpp"
 #include "mc/mc_sim_workload.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace adcc;
   const Options opts(argc, argv);
   const bool quick = opts.get_bool("quick");
@@ -76,4 +76,7 @@ int main(int argc, char** argv) {
               mc::max_percentage_gap(ref, got, lookups));
   std::printf("tallies identical: %s\n", ref.counts == got.counts ? "YES" : "NO");
   return ref.counts == got.counts ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig12_xs_flush: %s\n", e.what());
+  return 2;
 }

@@ -21,11 +21,12 @@
 #include <cstdio>
 #include <memory>
 
+#include "common/stats.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "mc/mc_workload.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace adcc;
   Options opts(argc, argv);
   opts.doc("lookups", "total lookups", "1000000 (quick: 200000)")
@@ -101,4 +102,7 @@ int main(int argc, char** argv) {
   std::printf("\nPaper reference: algorithm-directed <= 0.05%%; NVM-only checkpoint ~0%%;\n"
               "NVM/DRAM checkpoint ~13%%; disk checkpoint by far the largest.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig13_xs_runtime: %s\n", e.what());
+  return 2;
 }

@@ -46,7 +46,7 @@ std::vector<linalg::CgClass> parse_classes(const std::string& spec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opts(argc, argv);
   opts.doc("classes", "comma-separated NPB classes", "S,W,A,B,C (quick: S,W,A)")
       .doc("iters", "CG iterations", "15")
@@ -108,4 +108,7 @@ int main(int argc, char** argv) {
   std::printf("\nPaper reference: classes S/W lose all 15 iterations; classes B/C lose 1;\n"
               "recomputation (normalized by one CG iteration) shrinks as the input grows.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig3_cg_recompute: %s\n", e.what());
+  return 2;
 }

@@ -27,7 +27,7 @@
 #include "kernels/backend.hpp"
 #include "kernels/threads.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace adcc;
   Options opts(argc, argv);
   opts.doc("n", "system rows", "150000 (quick: 14000)")
@@ -95,4 +95,7 @@ int main(int argc, char** argv) {
   std::printf("\nPaper reference (class C): ckpt-disk +60.4%%, ckpt-nvm +4.2%%,"
               " ckpt-nvm/dram +43.6%%, pmem-tx +329%%, algorithm-directed < 3%%.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig4_cg_runtime: %s\n", e.what());
+  return 2;
 }

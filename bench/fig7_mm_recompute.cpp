@@ -23,7 +23,7 @@
 #include "core/scenario.hpp"
 #include "mm/mm_sim_workload.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace adcc;
   const Options opts(argc, argv);
   const bool quick = opts.get_bool("quick");
@@ -77,4 +77,7 @@ int main(int argc, char** argv) {
   std::printf("\nPaper reference (rank 400): n=2000 loses ~2 submatrix multiplications, larger\n"
               "sizes lose 1; the loop-2 crash always loses 1 submatrix addition.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig7_mm_recompute: %s\n", e.what());
+  return 2;
 }

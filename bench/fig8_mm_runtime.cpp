@@ -26,7 +26,7 @@
 #include "kernels/threads.hpp"
 #include "mm/mm_workload.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace adcc;
   Options opts(argc, argv);
   opts.doc("n", "matrix dimension", "1000 (quick: 500)")
@@ -97,4 +97,7 @@ int main(int argc, char** argv) {
   std::printf("\nPaper reference (n=8000): algorithm-directed overhead 8.2%% (rank 200) ->\n"
               "1.3%% (rank 1000); NVM checkpoint >= 21.8%% at rank 200; PMEM ~5.5x.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fig8_mm_runtime: %s\n", e.what());
+  return 2;
 }

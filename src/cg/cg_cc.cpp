@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "linalg/vec_ops.hpp"
-#include "nvm/flush.hpp"
 
 namespace adcc::cg {
 
@@ -260,55 +259,6 @@ std::vector<double> CgCrashConsistent::solution() const {
 
 double CgCrashConsistent::avg_iter_seconds() const {
   return iter_seconds_count_ == 0 ? 0.0 : iter_seconds_sum_ / static_cast<double>(iter_seconds_count_);
-}
-
-// ---------------------------------------------------------------------------
-
-CgCcNativeResult run_cg_cc_native(const CsrMatrix& a, std::span<const double> b,
-                                  std::size_t iters, nvm::NvmRegion& region) {
-  const std::size_t n = a.rows();
-  ADCC_CHECK(b.size() == n, "rhs size mismatch");
-
-  // The Fig. 2 data-structure extension: 2-D history arrays in NVM.
-  std::span<double> p = region.allocate<double>((iters + 2) * n);
-  std::span<double> q = region.allocate<double>((iters + 2) * n);
-  std::span<double> r = region.allocate<double>((iters + 2) * n);
-  std::span<double> z = region.allocate<double>((iters + 2) * n);
-  std::span<std::int64_t> counter = region.allocate<std::int64_t>(kCacheLine / sizeof(std::int64_t));
-
-  auto rowof = [n](std::span<double> arr, std::size_t rr) { return arr.subspan(rr * n, n); };
-
-  linalg::copy(b, rowof(r, 1));
-  linalg::copy(b, rowof(p, 1));
-  linalg::zero(rowof(z, 1));
-  double rho = linalg::dot(std::span<const double>(rowof(r, 1)), std::span<const double>(rowof(r, 1)));
-
-  CgCcNativeResult out;
-  for (std::size_t i = 1; i <= iters; ++i) {
-    // The entire runtime durability cost: one cache line flushed per iteration.
-    counter[0] = static_cast<std::int64_t>(i);
-    region.persist(counter.data(), sizeof(std::int64_t));
-    ++out.counter_flushes;
-
-    a.spmv(rowof(p, i), rowof(q, i));
-    const double pq =
-        linalg::dot(std::span<const double>(rowof(p, i)), std::span<const double>(rowof(q, i)));
-    ADCC_CHECK(pq > 0, "A is not positive definite along p");
-    const double alpha = rho / pq;
-    linalg::xpay(rowof(z, i), alpha, rowof(p, i), rowof(z, i + 1));
-    linalg::xpay(rowof(r, i), -alpha, rowof(q, i), rowof(r, i + 1));
-    const double rho_new =
-        linalg::dot(std::span<const double>(rowof(r, i + 1)), std::span<const double>(rowof(r, i + 1)));
-    const double beta = rho_new / rho;
-    rho = rho_new;
-    linalg::xpay(rowof(r, i + 1), beta, rowof(p, i), rowof(p, i + 1));
-  }
-
-  auto zlast = rowof(z, iters + 1);
-  out.cg.x.assign(zlast.begin(), zlast.end());
-  out.cg.iters = iters;
-  out.cg.residual_norm = true_residual(a, b, out.cg.x);
-  return out;
 }
 
 }  // namespace adcc::cg

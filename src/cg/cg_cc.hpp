@@ -11,10 +11,9 @@
 //     (Eq. 2)  r(j+1) = b − A · z(j+1)   — residual identity
 // The first j passing both is resumable: re-execute from iteration j+1.
 //
-// Two execution modes:
-//   * CgCrashConsistent  — under memsim (recomputation-cost experiments, Fig. 3)
-//   * run_cg_cc_native   — at full speed with real CLFLUSH of the counter line
-//                          (runtime-overhead experiments, Fig. 4)
+// CgCrashConsistent runs the scheme under memsim (the Fig. 3 recomputation
+// experiments, the cg-sim workload). The full-speed variant with a real
+// CLFLUSH of the counter line (Fig. 4 runtime) is CgWorkload's alg-* engine.
 #pragma once
 
 #include <memory>
@@ -22,7 +21,6 @@
 
 #include "cg/cg.hpp"
 #include "memsim/tracked.hpp"
-#include "nvm/nvm_region.hpp"
 
 namespace adcc::cg {
 
@@ -119,15 +117,5 @@ class CgCrashConsistent {
   double iter_seconds_sum_ = 0.0;
   std::size_t iter_seconds_count_ = 0;
 };
-
-/// Native-mode algorithm-directed CG: history arrays (the Fig. 2 data-structure
-/// extension) + one real CLFLUSH of the counter line per iteration, charged to
-/// `region`'s perf model. Overhead vs. cg_solve is the paper's Fig. 4 bar.
-struct CgCcNativeResult {
-  CgResult cg;
-  std::uint64_t counter_flushes = 0;
-};
-CgCcNativeResult run_cg_cc_native(const linalg::CsrMatrix& a, std::span<const double> b,
-                                  std::size_t iters, nvm::NvmRegion& region);
 
 }  // namespace adcc::cg

@@ -4,7 +4,6 @@
 
 #include "cg/cg_cc.hpp"
 #include "cg/cg_shard.hpp"
-#include "cg/cg_tx.hpp"
 #include "core/shard.hpp"
 #include "common/align.hpp"
 #include "common/check.hpp"
@@ -12,6 +11,22 @@
 #include "linalg/vec_ops.hpp"
 
 namespace adcc::cg {
+
+namespace {
+
+// pmem-tx heap sizing for an n-row system: the data space holds p, r, z and
+// the two scalars; the log holds the three snapshotted vectors plus
+// per-4KB-chunk headers/padding (~2 %) and slack for the scalar entries.
+std::size_t tx_data_bytes(std::size_t n) {
+  return round_up(4 * n * sizeof(double), kCacheLine) + 16 * kCacheLine;
+}
+
+std::size_t tx_log_bytes(std::size_t n) {
+  const std::size_t payload = 3 * n * sizeof(double);
+  return round_up(payload + payload / 32, kCacheLine) + 128 * kCacheLine;
+}
+
+}  // namespace
 
 std::size_t cg_workload_arena_bytes(std::size_t n, std::size_t iters) {
   // Four history arrays of (iters + 2) rows plus counter/alignment slack —
@@ -82,8 +97,8 @@ void CgWorkload::prepare(core::ModeEnv& env) {
     case core::DurabilityKind::kTransaction: {
       ADCC_CHECK(env.perf != nullptr, "pmem-tx mode needs a perf model");
       const std::size_t n = cfg_.n;
-      heap_ = std::make_unique<pmemtx::PersistentHeap>(cg_tx_data_bytes(n),
-                                                       cg_tx_log_bytes(n), *env.perf);
+      heap_ = std::make_unique<pmemtx::PersistentHeap>(tx_data_bytes(n), tx_log_bytes(n),
+                                                       *env.perf);
       tx_p_ = heap_->allocate<double>(n);
       tx_r_ = heap_->allocate<double>(n);
       tx_z_ = heap_->allocate<double>(n);

@@ -1,7 +1,8 @@
 // CG as a core::Workload — one adapter covering all seven durability modes.
 //
 // Work unit: one CG iteration (the paper's durability granule for §III-B).
-// Per-mode engines, mirroring the fig4 bench's hand-wired variants:
+// Per-mode engines (the only implementation of each scheme; fig4 and every
+// sweep measure these):
 //   native       — cg_step on volatile state, no durability action
 //   ckpt-*       — cg_step + per-iteration CheckpointSet::save of p/r/z/scalars
 //   pmem-tx      — each iteration one undo-log transaction on a PersistentHeap
@@ -59,6 +60,9 @@ class CgWorkload final : public core::Workload {
 
   /// Current solution estimate (valid once the run completed).
   std::vector<double> solution() const;
+
+  /// pmem-tx: the undo log's counters (null before a pmem-tx prepare).
+  const pmemtx::UndoLogStats* tx_log_stats() const { return log_ ? &log_->stats() : nullptr; }
 
  private:
   std::span<double> row(std::span<double> arr, std::size_t r) const {

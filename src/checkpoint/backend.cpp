@@ -248,7 +248,7 @@ SaveReceipt Backend::save(int slot, std::uint64_t version, std::span<const Objec
 SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const ObjectView> objs,
                              const ChunkHooks& hooks, const ChunkLayout* memo,
                              const char* point_name, const std::atomic<bool>* cancel) {
-  ADCC_CHECK(slot >= 0 && slot < slot_count(), "checkpoint slot out of range");
+  ADCC_CHECK(slot >= 0 && slot < kSlotCount, "checkpoint slot out of range");
   ChunkLayout built;
   if (memo == nullptr) {
     built = ChunkLayout::make(objs, chunks_.chunk_bytes);
@@ -257,9 +257,10 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
   const ChunkLayout& layout = *memo;
   begin_slot(slot, layout.image_bytes);
 
-  SaveReceipt receipt;
-  receipt.chunks.assign(layout.chunks.size(), SaveReceipt::Chunk::kUnselected);
-  receipt.crcs.assign(layout.chunks.size(), 0);
+  // Each chunk's outcome, recorded by the worker that handled it and tallied
+  // into the receipt once the pipeline has joined.
+  enum class Fate : unsigned char { kClean, kWritten, kStamped };
+  std::vector<Fate> fates(layout.chunks.size(), Fate::kClean);
   std::vector<std::uint32_t> stored_bytes(layout.chunks.size(), 0);
 
   auto* cache = hooks.crc_cache.get();
@@ -282,7 +283,6 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
     // Cancelled drains stop between chunks: the chunks already persisted stay
     // persisted (the torn image a power failure leaves), nothing else lands.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) throw DrainCancelled{};
-    if (hooks.select && !hooks.select(i)) return;
     scratch.raw.resize(sizeof(ChunkHeader) + c.payload_bytes);
     const auto* src = static_cast<const std::byte*>(objs[c.object].data) + c.object_offset;
     {
@@ -294,12 +294,8 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
       const core::StageTimer timer("ckpt/crc");
       crc = crc32(scratch.raw.data() + sizeof(ChunkHeader), c.payload_bytes);
     }
-    receipt.crcs[i] = crc;
     const bool clean = cache != nullptr && (*cache)[i].has_value() && *(*cache)[i] == crc;
-    if (clean && !hooks.in_place) {
-      receipt.chunks[i] = SaveReceipt::Chunk::kClean;
-      return;
-    }
+    if (clean && !hooks.in_place) return;  // Fate::kClean.
     if (clean && hooks.in_place) {
       // Dirty-chunk commit: the payload on media already matches — advance
       // only the header's epoch stamp so the copy stays provably valid for
@@ -316,7 +312,7 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
           const core::StageTimer timer("ckpt/queue");
           write_span(slot, c.image_offset, &h, sizeof(h));
         }
-        receipt.chunks[i] = SaveReceipt::Chunk::kStamped;
+        fates[i] = Fate::kStamped;
         fire_point(point_name);
         return;
       }
@@ -363,7 +359,7 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
       write_span(slot, c.image_offset, out, out_bytes);
     }
     stored_bytes[i] = h.stored_bytes;
-    receipt.chunks[i] = SaveReceipt::Chunk::kWritten;
+    fates[i] = Fate::kWritten;
     // Cache update strictly AFTER the media write: a crash between the two
     // leaves a stale (pessimistic) entry, never an optimistic one that would
     // let a later save skip a chunk the media does not actually hold.
@@ -371,20 +367,19 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
     fire_point(point_name);
   });
 
+  SaveReceipt receipt;
   for (std::size_t i = 0; i < layout.chunks.size(); ++i) {
-    switch (receipt.chunks[i]) {
-      case SaveReceipt::Chunk::kWritten:
+    switch (fates[i]) {
+      case Fate::kWritten:
         ++receipt.written;
         receipt.payload_bytes += layout.chunks[i].payload_bytes;
         receipt.stored_bytes += stored_bytes[i];
         break;
-      case SaveReceipt::Chunk::kClean:
+      case Fate::kClean:
         ++receipt.skipped;
         break;
-      case SaveReceipt::Chunk::kStamped:
+      case Fate::kStamped:
         ++receipt.stamped;
-        break;
-      case SaveReceipt::Chunk::kUnselected:
         break;
     }
   }
@@ -434,7 +429,7 @@ std::uint64_t Backend::load_salvage(int slot, std::uint64_t want,
 std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
                                const ChunkHooks& hooks,
                                std::optional<std::uint64_t> salvage) {
-  ADCC_CHECK(slot >= 0 && slot < slot_count(), "checkpoint slot out of range");
+  ADCC_CHECK(slot >= 0 && slot < kSlotCount, "checkpoint slot out of range");
 
   SlotHeader h;
   if (read_span(slot, 0, &h, sizeof(h)) != sizeof(h) || h.magic != kSlotMagic ||
@@ -535,7 +530,7 @@ std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
 
 TornProbe Backend::probe_torn(int slot, std::span<const ObjectView> objs,
                               std::optional<std::uint64_t> base_override) {
-  ADCC_CHECK(slot >= 0 && slot < slot_count(), "checkpoint slot out of range");
+  ADCC_CHECK(slot >= 0 && slot < kSlotCount, "checkpoint slot out of range");
   TornProbe probe;
 
   // The slot's own committed version is the baseline; an unreadable or absent

@@ -47,6 +47,10 @@
 
 namespace adcc::checkpoint {
 
+/// Slots per backend: every medium double-buffers, and CheckpointSet
+/// alternates between the two so a crash mid-save keeps the last commit.
+inline constexpr int kSlotCount = 2;
+
 /// Base of every durable-image integrity failure the chunk engine reports.
 class CheckpointError : public std::runtime_error {
  public:
@@ -103,12 +107,9 @@ struct ChunkHooks {
   /// leaves a torn slot with the marker uncommitted. Calls are serialized
   /// across pipeline workers.
   std::function<void(const char*)> point;
-  /// save() only: restrict the save to a chunk subset (dirty hints).
-  /// Unselected chunks are neither checksummed nor written.
-  std::function<bool(std::size_t chunk)> select;
   /// save() only: the caller's per-slot payload-CRC cache (nullopt = unknown).
-  /// The engine both CONSULTS it (a selected chunk whose fresh CRC matches is
-  /// clean — skipped, or epoch-stamped under in_place) and UPDATES it in
+  /// The engine both CONSULTS it (a chunk whose fresh CRC matches is clean
+  /// — skipped, or epoch-stamped under in_place) and UPDATES it in
   /// place as chunks land on media, so queued ring drains always filter
   /// against the true slot state, not a stale snapshot. Entries are touched
   /// only from the save's executing threads (disjoint per chunk); FIFO drain
@@ -123,14 +124,12 @@ struct ChunkHooks {
   bool in_place = false;
 };
 
-/// What one save() did, chunk by chunk (CheckpointSet feeds its incremental
-/// stats from this; the CRC cache is updated in place via ChunkHooks).
+/// What one save() did: how many chunks it wrote, skipped or stamped
+/// (CheckpointSet feeds its incremental stats from this; the CRC cache is
+/// updated in place via ChunkHooks).
 struct SaveReceipt {
-  enum class Chunk : unsigned char { kUnselected, kClean, kWritten, kStamped };
-  std::vector<Chunk> chunks;
-  std::vector<std::uint32_t> crcs;  ///< Valid where chunks[i] != kUnselected.
   std::size_t written = 0;
-  std::size_t skipped = 0;          ///< Selected but unchanged (kClean).
+  std::size_t skipped = 0;          ///< Unchanged, not rewritten (kClean).
   std::size_t stamped = 0;          ///< Clean, epoch-stamped in place (in_place).
   std::size_t payload_bytes = 0;    ///< Raw payload bytes of written chunks.
   std::size_t stored_bytes = 0;     ///< Post-codec bytes through the device queue.
@@ -287,9 +286,6 @@ class Backend {
 
   /// Newest committed (slot, version); version 0 means "no checkpoint yet".
   virtual std::pair<int, std::uint64_t> latest() const = 0;
-
-  /// Double-buffer slot count (1 for mirror-style incremental backends).
-  virtual int slot_count() const { return 2; }
 
   /// Raw slot image bytes (tests / crash inspection). Returns bytes read.
   std::size_t read_image(int slot, std::span<std::byte> out) const;

@@ -15,7 +15,6 @@ void CheckpointSet::add(std::string name, void* data, std::size_t bytes) {
 }
 
 int CheckpointSet::save_slot(bool in_place) const {
-  if (backend_.slot_count() == 1) return 0;
   if (in_place) return committed_slot_;
   // Alternate away from the committed image; before the first commit the
   // version parity seeds the alternation (save 1 targets slot 1).
@@ -24,19 +23,16 @@ int CheckpointSet::save_slot(bool in_place) const {
 }
 
 bool CheckpointSet::in_place_eligible() const {
-  if (committed_slot_ < 0 || backend_.slot_count() < 2) return false;
+  if (committed_slot_ < 0) return false;
   const auto s = static_cast<std::size_t>(committed_slot_);
   // The other slot must hold a committed fallback: an in-place save tears the
   // committed image it rewrites, and a crash mid-save must still leave SOME
   // restorable checkpoint (the first saves of a run alternate classically).
   const auto other = static_cast<std::size_t>(1 - committed_slot_);
-  if (other >= slot_has_commit_.size() || !slot_has_commit_[other]) return false;
-  return s < cache_full_.size() && cache_full_[s];
+  return slot_has_commit_[other] && cache_full_[s];
 }
 
 void CheckpointSet::note_slot_commit(int slot, bool committed) {
-  const auto slots = static_cast<std::size_t>(backend_.slot_count());
-  if (slot_has_commit_.size() != slots) slot_has_commit_.resize(slots, false);
   slot_has_commit_[static_cast<std::size_t>(slot)] = committed;
 }
 
@@ -52,9 +48,6 @@ const ChunkLayout& CheckpointSet::layout() {
 }
 
 std::shared_ptr<CheckpointSet::CrcCache>& CheckpointSet::slot_cache(int slot) {
-  const auto slots = static_cast<std::size_t>(backend_.slot_count());
-  if (slot_crcs_.size() != slots) slot_crcs_.resize(slots);
-  if (cache_full_.size() != slots) cache_full_.resize(slots, false);
   auto& cache = slot_crcs_[static_cast<std::size_t>(slot)];
   const std::size_t chunks = layout().chunks.size();
   if (cache && cache->size() == chunks) return cache;
@@ -68,7 +61,8 @@ std::shared_ptr<CheckpointSet::CrcCache>& CheckpointSet::slot_cache(int slot) {
   return cache;
 }
 
-std::uint64_t CheckpointSet::save_with(const std::function<bool(std::size_t)>& select) {
+std::uint64_t CheckpointSet::save() {
+  if (backend_.chunk_config().async) return save_async();
   ADCC_CHECK(!objs_.empty(), "no objects registered");
   wait_durable();  // An in-flight ring commits (or surfaces its crash) first.
   frozen_ = true;
@@ -82,14 +76,6 @@ std::uint64_t CheckpointSet::save_with(const std::function<bool(std::size_t)>& s
   hooks.point = point_hook_;
   hooks.crc_cache = cache;
   hooks.in_place = in_place;
-  if (select) {
-    hooks.select = [&crcs, &select](std::size_t chunk) {
-      // A chunk this slot has never held must be written regardless of the
-      // hints — a committed image may not contain never-written holes (the
-      // first save landing in each slot is implicitly full).
-      return !crcs[chunk].has_value() || select(chunk);
-    };
-  }
 
   SaveReceipt receipt;
   try {
@@ -114,11 +100,6 @@ std::uint64_t CheckpointSet::save_with(const std::function<bool(std::size_t)>& s
   cache_full_[static_cast<std::size_t>(slot)] = true;
   note_slot_commit(slot, true);
   return version_;
-}
-
-std::uint64_t CheckpointSet::save() {
-  if (backend_.chunk_config().async) return save_async();
-  return save_with({});
 }
 
 std::uint64_t CheckpointSet::save_async() {
@@ -282,30 +263,6 @@ void CheckpointSet::abort_async() noexcept {
   }
 }
 
-std::uint64_t CheckpointSet::save(std::span<const DirtyRange> dirty) {
-  ADCC_CHECK(!objs_.empty(), "no objects registered");
-  const std::size_t chunk_bytes = backend_.chunk_config().chunk_bytes;
-  const ChunkLayout& layout = this->layout();
-
-  // Per-chunk hint bitmap so overlapping hints are examined once.
-  std::vector<bool> hinted(layout.chunks.size(), false);
-  std::vector<std::size_t> first_chunk(objs_.size(), 0);  // Global index of chunk 0.
-  for (std::size_t i = 0; i < layout.chunks.size(); ++i) {
-    if (layout.chunks[i].index == 0) first_chunk[layout.chunks[i].object] = i;
-  }
-  for (const DirtyRange& d : dirty) {
-    ADCC_CHECK(d.object < objs_.size(), "dirty hint for unknown object");
-    ADCC_CHECK(d.offset + d.bytes <= objs_[d.object].bytes, "dirty hint out of bounds");
-    if (d.bytes == 0) continue;
-    const std::size_t base = first_chunk[d.object];
-    for (std::size_t c = d.offset / chunk_bytes; c <= (d.offset + d.bytes - 1) / chunk_bytes;
-         ++c) {
-      hinted[base + c] = true;
-    }
-  }
-  return save_with([hinted = std::move(hinted)](std::size_t chunk) { return hinted[chunk]; });
-}
-
 std::uint64_t CheckpointSet::restore() {
   ADCC_CHECK(!objs_.empty(), "no objects registered");
   // Restoring implies a crash: a drain still in flight dies with the power
@@ -325,7 +282,7 @@ std::uint64_t CheckpointSet::restore() {
   // write before the crash.
   int cand_slot = -1;
   TornProbe cand{};
-  for (int s = 0; s < backend_.slot_count(); ++s) {
+  for (int s = 0; s < kSlotCount; ++s) {
     const bool is_committed = ver != 0 && s == slot;
     if (is_committed && !dirty) continue;
     const TornProbe probe = is_committed ? backend_.probe_torn(s, objs_, ver)
@@ -384,8 +341,8 @@ std::uint64_t CheckpointSet::restore() {
     // itself. The aged image in the other slot is the fallback — loaded and
     // re-committed so the marker is coherent again. Returning an OLDER
     // version than the marker knew is the documented dirty-commit trade.
-    if (!dirty || backend_.slot_count() < 2) throw;
-    for (int s = 0; s < backend_.slot_count(); ++s) {
+    if (!dirty) throw;
+    for (int s = 0; s < kSlotCount; ++s) {
       if (s == slot) continue;
       const std::uint64_t start = backend_.stats().chunks_loaded;
       try {
@@ -419,7 +376,7 @@ std::uint64_t CheckpointSet::restore_version(std::uint64_t want) {
     committed_slot_ = durable_slot_ = -1;
     // Pre-rewind images must not serve as dirty-commit fallbacks: their
     // versions belong to the abandoned history.
-    slot_has_commit_.assign(slot_has_commit_.size(), false);
+    slot_has_commit_.fill(false);
     return 0;
   }
   // The marker's version may be older than the backend's newest commit (the
@@ -430,7 +387,7 @@ std::uint64_t CheckpointSet::restore_version(std::uint64_t want) {
   if (latest_ver == want) {
     found = latest_slot;
   } else {
-    for (int s = 0; s < backend_.slot_count(); ++s) {
+    for (int s = 0; s < kSlotCount; ++s) {
       SlotHeader h{};
       if (backend_.read_image(s, {reinterpret_cast<std::byte*>(&h), sizeof(h)}) != sizeof(h)) {
         continue;
@@ -444,7 +401,7 @@ std::uint64_t CheckpointSet::restore_version(std::uint64_t want) {
   }
   ADCC_CHECK(found >= 0, "no committed slot holds the requested checkpoint version");
   // Classify the remaining slot(s) for torn-save evidence, as restore() does.
-  for (int s = 0; s < backend_.slot_count(); ++s) {
+  for (int s = 0; s < kSlotCount; ++s) {
     if (s == found) continue;
     const TornProbe probe = backend_.probe_torn(s, objs_);
     restore_stats_.chunks_probed += probe.chunks_probed;

@@ -7,7 +7,7 @@
 // the payload CRC is computed per chunk anyway (it goes into the chunk
 // header), so chunks whose CRC matches what this slot already holds are
 // skipped for free — incremental checkpointing is this filter, not a second
-// implementation. `save(dirty)` narrows the scan to hinted byte ranges.
+// implementation.
 //
 // `restore()` loads the newest committed checkpoint back into the registered
 // objects and returns its version (0 = nothing to restore). Before loading it
@@ -54,6 +54,7 @@
 // the marker — the documented dirty-commit recovery trade).
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -83,13 +84,6 @@ class CheckpointSet {
   void add(std::string name, std::span<T> s) {
     add(std::move(name), s.data(), s.size_bytes());
   }
-
-  /// A half-open dirty byte range within one object, used as a save() hint.
-  struct DirtyRange {
-    std::size_t object;  ///< Index in registration order.
-    std::size_t offset;
-    std::size_t bytes;
-  };
 
   /// Checkpoints all registered objects; returns the new version. Chunks
   /// unchanged since this slot's previous image are skipped (CRC filter).
@@ -122,15 +116,6 @@ class CheckpointSet {
   /// overlaps useful work with the drain(s).
   bool async_pending() const { return !pending_.empty(); }
 
-  /// Hinted save: only chunks overlapping the given ranges are checksummed
-  /// and (when changed) written. Hints must cover every modification since
-  /// the target slot's previous image — under whole-slot alternation that is
-  /// the save before last; un-hinted dirty chunks silently age the slot.
-  /// Always synchronous, even under ChunkConfig::async: the hints describe
-  /// the live objects at call time, and the async path deliberately stages
-  /// the full image instead of threading a hint set through the drain.
-  std::uint64_t save(std::span<const DirtyRange> dirty);
-
   /// Restores the newest recoverable checkpoint; returns its version
   /// (0 = no checkpoint, objects untouched). Prefers a salvageable
   /// interrupted save NEWER than the committed marker (re-committing it);
@@ -156,9 +141,6 @@ class CheckpointSet {
     std::size_t chunks_skipped = 0;   ///< Clean under the CRC filter.
     std::size_t chunks_stamped = 0;   ///< Clean, epoch-stamped in place.
     std::size_t payload_bytes_written = 0;
-    std::size_t chunks_examined() const {
-      return chunks_written + chunks_skipped + chunks_stamped;
-    }
   };
   const SaveStats& last_save() const { return save_stats_; }
 
@@ -179,7 +161,6 @@ class CheckpointSet {
  private:
   using CrcCache = std::vector<std::optional<std::uint32_t>>;
 
-  std::uint64_t save_with(const std::function<bool(std::size_t)>& select);
   int save_slot(bool in_place) const;
   const ChunkLayout& layout();
   /// This slot's payload-CRC cache, sized for the current layout. Joins the
@@ -191,8 +172,7 @@ class CheckpointSet {
   /// the other slot still holds a committed image — an in-place save tears
   /// the image it rewrites, so it is only safe with a fallback on media.
   bool in_place_eligible() const;
-  /// Records whether `slot` holds a committed (restorable) image, sizing the
-  /// tracking vector on first use.
+  /// Records whether `slot` holds a committed (restorable) image.
   void note_slot_commit(int slot, bool committed);
   /// Consumes the OLDEST ring entry: folds its receipt into the stats and the
   /// committed-slot tracking, or — on a drain failure — invalidates the
@@ -243,18 +223,18 @@ class CheckpointSet {
   /// updates it in place as chunks land on media — queued ring drains always
   /// filter against the true slot state, not a stale snapshot. Volatile by
   /// design: a fresh process rebuilds it with one full save.
-  std::vector<std::shared_ptr<CrcCache>> slot_crcs_;
+  std::array<std::shared_ptr<CrcCache>, kSlotCount> slot_crcs_;
   /// True when the slot's cache fully describes its committed image (set
   /// when a save to the slot is enqueued/completed, cleared on failure or
   /// abort) — the dirty-commit eligibility bit, maintained strictly on the
   /// caller's thread so eligibility never reads cache entries a drain may be
   /// writing.
-  std::vector<bool> cache_full_;
+  std::array<bool, kSlotCount> cache_full_{};
   /// True when the slot holds a committed image a restore could fall back to
   /// (set on commit/enqueue, cleared pessimistically on failure or abort).
   /// Gates dirty-commit eligibility: the double buffer must never rewrite
   /// the ONLY committed image in place.
-  std::vector<bool> slot_has_commit_;
+  std::array<bool, kSlotCount> slot_has_commit_{};
 };
 
 }  // namespace adcc::checkpoint

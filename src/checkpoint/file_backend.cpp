@@ -84,9 +84,16 @@ void FileBackend::write_span(int slot, std::size_t offset, const void* src,
       device_free_at_ = start + static_cast<double>(bytes) / cfg_.throttle_bytes_per_s;
       window_end = device_free_at_;
     }
+    // A sleep lasts at least the kernel's timer slack (50 us by default), so
+    // a shorter window — a small chunk or the slot header — is spun out:
+    // sleeping would charge the scheduler's wake-up latency, not the window.
+    constexpr double kTimerSlack = 50e-6;
     const double wait = window_end - now_seconds();
-    if (wait > 0) {
+    if (wait >= kTimerSlack) {
       std::this_thread::sleep_for(std::chrono::duration<double>(wait));
+    } else {
+      while (now_seconds() < window_end) {
+      }
     }
   }
 }
@@ -99,10 +106,14 @@ void FileBackend::finish_slot(int slot) {
 }
 
 void FileBackend::commit_marker(int slot, std::uint64_t version) {
-  const int mfd = ::open(meta_path().c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  // The record is overwritten in place. Truncating first would free and
+  // reallocate the file's block on every commit, turning each fdatasync into
+  // a filesystem-journal commit, and would leave an empty marker between the
+  // truncate and the write.
+  const int mfd = ::open(meta_path().c_str(), O_WRONLY | O_CREAT, 0644);
   ADCC_CHECK(mfd >= 0, "cannot open checkpoint meta file");
   std::uint64_t rec[2] = {static_cast<std::uint64_t>(slot), version};
-  ADCC_CHECK(::write(mfd, rec, sizeof(rec)) == sizeof(rec), "meta write failed");
+  ADCC_CHECK(::pwrite(mfd, rec, sizeof(rec), 0) == sizeof(rec), "meta write failed");
   if (cfg_.sync) ::fdatasync(mfd);
   ::close(mfd);
 }

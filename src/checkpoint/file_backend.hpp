@@ -5,7 +5,7 @@
 // is much faster than the 2017 local HDD the paper measured, an optional
 // device bandwidth model (default 150 MB/s) preserves the figure's shape:
 // every span occupies a window on a single modeled device queue and the
-// writing worker sleeps until its window closes. With one pipeline worker
+// writing worker waits until its window closes. With one pipeline worker
 // that reproduces the seed's synchronous-write timing; with --ckpt_threads
 // > 1 the next chunk's serialization + CRC overlaps the previous chunk's
 // device window, which is exactly how a pipelined checkpointer beats a
@@ -50,9 +50,10 @@ class FileBackend final : public Backend {
   mutable int read_fds_[2] = {-1, -1};  ///< Lazily opened, one per slot.
 
   // Modeled device queue: write_span reserves [start, start + bytes/bw) under
-  // the lock, then sleeps (not spins) until its window closes — so concurrent
-  // workers never exceed the device bandwidth in aggregate, and the sleeping
-  // worker's CPU is free for the next chunk's serialization.
+  // the lock, then waits outside it until its window closes — so concurrent
+  // workers never exceed the device bandwidth in aggregate. The wait sleeps,
+  // leaving the worker's CPU free for the next chunk's serialization, except
+  // for a window shorter than the timer slack, which it spins out.
   std::mutex device_mu_;
   double device_free_at_ = 0.0;
 };

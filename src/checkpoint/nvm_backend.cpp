@@ -6,12 +6,9 @@
 
 namespace adcc::checkpoint {
 
-NvmBackend::NvmBackend(nvm::NvmRegion& region, std::size_t capacity_per_slot, int slots)
-    : region_(region), slot_count_(slots) {
-  ADCC_CHECK(slots == 1 || slots == 2, "NvmBackend supports 1 or 2 slots");
-  for (int s = 0; s < slot_count_; ++s) {
-    slots_[s] = region_.allocate<std::byte>(capacity_per_slot);
-  }
+NvmBackend::NvmBackend(nvm::NvmRegion& region, std::size_t capacity_per_slot)
+    : region_(region) {
+  for (std::span<std::byte>& slot : slots_) slot = region_.allocate<std::byte>(capacity_per_slot);
   meta_ = region_.allocate<std::uint64_t>(2);
   meta_[0] = 0;
   meta_[1] = 0;

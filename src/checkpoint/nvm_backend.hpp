@@ -18,15 +18,12 @@ namespace adcc::checkpoint {
 
 class NvmBackend final : public Backend {
  public:
-  /// The backend allocates `slots` slots of `capacity_per_slot` in `region`.
-  /// One-slot backends are the mirror-style incremental configuration (no
-  /// double buffering — a crash mid-save leaves a detectably torn mirror).
-  NvmBackend(nvm::NvmRegion& region, std::size_t capacity_per_slot, int slots = 2);
+  /// The backend allocates two slots of `capacity_per_slot` in `region`.
+  NvmBackend(nvm::NvmRegion& region, std::size_t capacity_per_slot);
   /// Joins an in-flight drain before the slot arenas can dangle.
   ~NvmBackend() override { teardown_drain(); }
 
   std::pair<int, std::uint64_t> latest() const override;
-  int slot_count() const override { return slot_count_; }
 
  protected:
   void begin_slot(int slot, std::size_t image_bytes) override;
@@ -38,8 +35,7 @@ class NvmBackend final : public Backend {
 
  private:
   nvm::NvmRegion& region_;
-  int slot_count_;
-  std::span<std::byte> slots_[2];
+  std::span<std::byte> slots_[kSlotCount];
   std::span<std::uint64_t> meta_;  ///< [slot, version]
   std::mutex media_mu_;
 };

@@ -3,10 +3,31 @@
 #include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 
 namespace adcc {
+
+namespace {
+
+/// The message for a value of `key` that does not parse as a `kind`.
+std::string malformed(const char* kind, const std::string& key, const std::string& value) {
+  return std::string("malformed ") + kind + " value for --" + key + ": '" + value + "'";
+}
+
+/// Parses the whole of `value` as a T with from_chars (no whitespace, no
+/// trailing characters); throws ContractViolation naming the key otherwise.
+template <typename T>
+T parse_number(const char* kind, const std::string& key, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  ADCC_CHECK(ec == std::errc() && ptr == end, malformed(kind, key, value).c_str());
+  return out;
+}
+
+}  // namespace
 
 std::optional<std::size_t> parse_size(std::string_view text) {
   if (text.empty()) return std::nullopt;
@@ -55,12 +76,12 @@ std::string Options::get(const std::string& key, const std::string& fallback) co
 
 std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) const {
   auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::stoll(it->second);
+  return it == kv_.end() ? fallback : parse_number<std::int64_t>("integer", key, it->second);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   auto it = kv_.find(key);
-  return it == kv_.end() ? fallback : std::stod(it->second);
+  return it == kv_.end() ? fallback : parse_number<double>("number", key, it->second);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
@@ -74,7 +95,8 @@ std::size_t Options::get_size(const std::string& key, std::size_t fallback) cons
   auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
   const auto parsed = parse_size(it->second);
-  ADCC_CHECK(parsed.has_value(), "malformed size value (expected e.g. 64M, 1G, 4096)");
+  ADCC_CHECK(parsed.has_value(),
+             (malformed("size", key, it->second) + " (expected e.g. 64M, 1G, 4096)").c_str());
   return *parsed;
 }
 

@@ -29,6 +29,9 @@ class Options {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Integer / floating-point values. The whole value must parse: trailing
+  /// characters, an empty value or a non-number throw ContractViolation
+  /// naming the key and the value.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// "0", "false", "off" and "no" are falsey; any other value is true.

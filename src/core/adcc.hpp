@@ -8,9 +8,12 @@
 //   adcc::checkpoint — disk/NVM/hetero checkpoint backends
 //   adcc::linalg     — CSR/dense kernels, SPD generator
 //   adcc::abft       — checksum encodings + ABFT GEMM
-//   adcc::cg         — CG variants, incl. the Fig. 2 crash-consistent solver
-//   adcc::mm         — ABFT-MM variants, incl. the Fig. 6 two-loop algorithm
-//   adcc::mc         — XSBench-equivalent MC, incl. selective flushing
+//   adcc::cg         — CG solver, its seven-mode adapter, and the Fig. 2
+//                      crash-consistent solver under memsim
+//   adcc::mm         — ABFT-MM: seven-mode adapter and the Fig. 6 two-loop
+//                      algorithm under memsim
+//   adcc::mc         — XSBench-equivalent MC: seven-mode adapter and the
+//                      selective-flushing driver under memsim
 //   adcc::core       — the seven evaluation modes, harness, reporting, and the
 //                      Workload/Scenario layer: core::Workload (polymorphic
 //                      workload interface), core::WorkloadRegistry (name →
@@ -25,15 +28,11 @@
 #include "abft/checksum.hpp"
 #include "cg/cg.hpp"
 #include "cg/cg_cc.hpp"
-#include "cg/cg_ckpt.hpp"
-#include "cg/cg_online_abft.hpp"
-#include "cg/cg_tx.hpp"
 #include "cg/cg_workload.hpp"
 #include "checkpoint/backend.hpp"
 #include "checkpoint/checkpoint_set.hpp"
 #include "checkpoint/file_backend.hpp"
 #include "checkpoint/hetero_backend.hpp"
-#include "checkpoint/incremental.hpp"
 #include "checkpoint/nvm_backend.hpp"
 #include "common/align.hpp"
 #include "common/check.hpp"
@@ -63,8 +62,6 @@
 #include "memsim/memsim.hpp"
 #include "memsim/tracked.hpp"
 #include "mm/mm_cc.hpp"
-#include "mm/mm_ckpt.hpp"
-#include "mm/mm_tx.hpp"
 #include "mm/mm_workload.hpp"
 #include "nvm/dram_cache.hpp"
 #include "nvm/epoch.hpp"

@@ -1,25 +1,6 @@
 #include "core/harness.hpp"
 
-#include <vector>
-
-#include "common/check.hpp"
-
 namespace adcc::core {
-
-double time_seconds(const std::function<void()>& fn) {
-  Timer t;
-  fn();
-  return t.elapsed();
-}
-
-double median_seconds(const std::function<void()>& fn, int reps, bool warmup) {
-  ADCC_CHECK(reps >= 1, "need at least one repetition");
-  if (warmup) fn();
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) times.push_back(time_seconds(fn));
-  return median(std::move(times));
-}
 
 NormalizedTime normalize(double seconds, double native_seconds) {
   NormalizedTime n;

@@ -1,21 +1,11 @@
-// Measurement harness shared by the benchmark binaries: repeated timed runs,
-// normalization against a native baseline, and the detect/resume recovery
-// breakdown structure reported by the Fig. 3 / Fig. 7 benches.
+// Measurement result types shared by the scenario runner and the benchmark
+// binaries: normalization against a native baseline, and the detect/resume
+// recovery breakdown structure reported by the Fig. 3 / Fig. 7 benches.
 #pragma once
 
-#include <functional>
-
-#include "common/stats.hpp"
-#include "common/timer.hpp"
+#include <cstddef>
 
 namespace adcc::core {
-
-/// Wall-clock seconds of one invocation of `fn`.
-double time_seconds(const std::function<void()>& fn);
-
-/// Runs `fn` `reps` times and returns the median wall time (first run can be
-/// discarded as warmup with `warmup=true`).
-double median_seconds(const std::function<void()>& fn, int reps, bool warmup = true);
 
 /// A runtime measurement normalized against the native baseline — the y-axis
 /// of Figs. 4, 8 and 13.

@@ -1,9 +1,5 @@
 #include "mc/mc_ckpt.hpp"
 
-#include <algorithm>
-#include <cstring>
-
-#include "common/check.hpp"
 #include "kernels/backend.hpp"
 
 namespace adcc::mc {
@@ -17,109 +13,14 @@ void run_xs_range(const XsDataHost& data, const CounterRng& rng, std::uint64_t b
   core::active_kernel_backend().xs_range(data, rng, begin, end, macro, counters, index);
 }
 
-namespace {
-
-/// Shared kernel: runs `lookups` lookups, invoking `on_boundary(i)` after every
-/// `interval`-th lookup with the live restart state available to persist.
-template <typename Boundary>
-Tally run_kernel(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed,
-                 std::uint64_t interval, double* macro, std::uint64_t* counters,
-                 std::uint64_t* index, Boundary&& on_boundary) {
-  const CounterRng rng(seed);
-  const std::uint64_t stride = interval == 0 ? lookups : interval;
-  for (std::uint64_t i = 0; i < lookups; i += stride) {
-    const std::uint64_t end = std::min(lookups, i + stride);
-    run_xs_range(data, rng, i, end, macro, counters, index);
-    if (interval != 0 && end % interval == 0) on_boundary(end - 1);
-  }
+Tally run_xs_native(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed) {
+  double macro[kChannels] = {};
+  std::uint64_t counters[kChannels] = {};
+  std::uint64_t index = 0;
+  run_xs_range(data, CounterRng(seed), 0, lookups, macro, counters, &index);
   Tally t;
   for (int c = 0; c < kChannels; ++c) t.counts[static_cast<std::size_t>(c)] = counters[c];
   return t;
 }
-
-}  // namespace
-
-XsRunResult run_xs_native(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed) {
-  double macro[kChannels] = {};
-  std::uint64_t counters[kChannels] = {};
-  std::uint64_t index = 0;
-  XsRunResult out;
-  out.tally = run_kernel(data, lookups, seed, 0, macro, counters, &index, [](std::uint64_t) {});
-  return out;
-}
-
-XsRunResult run_xs_checkpointed(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed,
-                                std::uint64_t interval, checkpoint::Backend& backend) {
-  ADCC_CHECK(interval > 0, "interval must be positive");
-  double macro[kChannels] = {};
-  std::uint64_t counters[kChannels] = {};
-  std::uint64_t index = 0;
-
-  checkpoint::CheckpointSet set(backend);
-  set.add("macro_xs", macro, sizeof(macro));
-  set.add("counters", counters, sizeof(counters));
-  set.add("index", &index, sizeof(index));
-
-  XsRunResult out;
-  out.tally = run_kernel(data, lookups, seed, interval, macro, counters, &index,
-                         [&](std::uint64_t) {
-                           set.save();
-                           ++out.durability_events;
-                         });
-  return out;
-}
-
-XsRunResult run_xs_tx(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed,
-                      std::uint64_t interval, pmemtx::PersistentHeap& heap) {
-  ADCC_CHECK(interval > 0, "interval must be positive");
-  std::span<double> macro = heap.allocate<double>(kChannels);
-  std::span<std::uint64_t> counters = heap.allocate<std::uint64_t>(kChannels);
-  std::span<std::uint64_t> index = heap.allocate<std::uint64_t>(1);
-  std::memset(macro.data(), 0, macro.size_bytes());
-  std::memset(counters.data(), 0, counters.size_bytes());
-  index[0] = 0;
-
-  pmemtx::UndoLog log(heap);
-  XsRunResult out;
-  // The persistent state is modified inside the kernel between boundaries; the
-  // transaction brackets each interval: snapshot at the boundary, commit — the
-  // PMEM-library equivalent of checkpointing the three objects.
-  out.tally = run_kernel(data, lookups, seed, interval, macro.data(), counters.data(),
-                         index.data(), [&](std::uint64_t) {
-                           pmemtx::Transaction tx(log);
-                           tx.add(macro);
-                           tx.add(counters);
-                           tx.add(index);
-                           tx.commit();
-                           ++out.durability_events;
-                         });
-  return out;
-}
-
-XsRunResult run_xs_cc_native(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed,
-                             std::uint64_t interval, nvm::NvmRegion& region) {
-  ADCC_CHECK(interval > 0, "interval must be positive");
-  std::span<double> macro = region.allocate<double>(kChannels);
-  std::span<std::uint64_t> counters = region.allocate<std::uint64_t>(kChannels);
-  std::span<std::uint64_t> index = region.allocate<std::uint64_t>(kCacheLine / sizeof(std::uint64_t));
-  std::memset(macro.data(), 0, macro.size_bytes());
-  std::memset(counters.data(), 0, counters.size_bytes());
-  index[0] = 0;
-
-  XsRunResult out;
-  out.tally = run_kernel(data, lookups, seed, interval, macro.data(), counters.data(),
-                         index.data(), [&](std::uint64_t) {
-                           // Fig. 11 line 9: flush macro_xs_vector, the five
-                           // counters and i — three cache lines.
-                           region.persist(macro.data(), macro.size_bytes());
-                           region.persist(counters.data(), counters.size_bytes());
-                           region.persist(index.data(), sizeof(std::uint64_t));
-                           ++out.durability_events;
-                         });
-  return out;
-}
-
-std::size_t xs_tx_data_bytes() { return 16 * kCacheLine; }
-std::size_t xs_tx_log_bytes() { return 64 * kCacheLine; }
 
 }  // namespace adcc::mc

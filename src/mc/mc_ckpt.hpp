@@ -1,48 +1,28 @@
-// Native-mode XSBench runners for the Fig. 13 runtime comparison.
+// The XSBench lookup loop shared by every MC engine.
 //
-// All variants execute the identical lookup kernel; they differ only in how
-// the restart state (macro_xs_vector + five counters + lookup index) is made
-// durable every `interval` lookups:
-//   run_xs_native        — not at all (test case 1)
-//   run_xs_checkpointed  — via a checkpoint backend (test cases 2–4)
-//   run_xs_tx            — one undo-log transaction per interval (test case 5)
-//   run_xs_cc_native     — CLFLUSH of the three cache lines (test cases 6–7)
+// run_xs_range is the one inner kernel: McWorkload drives it once per
+// durability interval in all seven modes (each mode differing only in how it
+// makes the restart state — macro_xs_vector, the five counters and the lookup
+// index — durable), and the shard plans drive it per shard slice.
+// run_xs_native runs it straight through with no durability at all (test case
+// 1): the reference every mode's tallies must reproduce exactly.
 #pragma once
 
-#include "checkpoint/checkpoint_set.hpp"
 #include "mc/tally.hpp"
 #include "mc/xs_kernel.hpp"
-#include "nvm/nvm_region.hpp"
-#include "pmemtx/tx.hpp"
 
 namespace adcc::mc {
 
-struct XsRunResult {
-  Tally tally;
-  std::uint64_t durability_events = 0;  ///< Checkpoints / transactions / flush batches.
-};
-
 /// Shared inner kernel: executes lookups [begin, end) of stream `rng`,
 /// accumulating into macro[kChannels] / counters[kChannels] and recording the
-/// current lookup in *index. All runners (and the mc workload adapter) drive
-/// this one loop, so their per-lookup work is identical by construction.
+/// current lookup in *index. The mc workload adapter and its shard plans all
+/// drive this one loop, so their per-lookup work is identical by construction.
 void run_xs_range(const XsDataHost& data, const CounterRng& rng, std::uint64_t begin,
                   std::uint64_t end, double* macro, std::uint64_t* counters,
                   std::uint64_t* index);
 
-XsRunResult run_xs_native(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed);
-
-XsRunResult run_xs_checkpointed(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed,
-                                std::uint64_t interval, checkpoint::Backend& backend);
-
-XsRunResult run_xs_tx(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed,
-                      std::uint64_t interval, pmemtx::PersistentHeap& heap);
-
-XsRunResult run_xs_cc_native(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed,
-                             std::uint64_t interval, nvm::NvmRegion& region);
-
-/// Heap sizing for run_xs_tx.
-std::size_t xs_tx_data_bytes();
-std::size_t xs_tx_log_bytes();
+/// Runs `lookups` lookups of stream `seed` with no durability action and
+/// returns the final tallies.
+Tally run_xs_native(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed);
 
 }  // namespace adcc::mc

@@ -17,6 +17,11 @@ namespace {
 // grid probes, per-nuclide interpolation reads and the tally update. An
 // approximation — determinism, not exactness, is what the triggers need.
 constexpr std::uint64_t kLookupAccessEstimate = 48;
+
+// pmem-tx heap sizing: the three restart objects fit in a few lines, and the
+// log holds one snapshot of each plus entry headers.
+constexpr std::size_t kTxDataBytes = 16 * kCacheLine;
+constexpr std::size_t kTxLogBytes = 64 * kCacheLine;
 }  // namespace
 
 McWorkloadConfig mc_workload_config(const Options& opts) {
@@ -72,8 +77,7 @@ void McWorkload::prepare(core::ModeEnv& env) {
       break;
     case core::DurabilityKind::kTransaction:
       ADCC_CHECK(env.perf != nullptr, "pmem-tx mode needs a perf model");
-      heap_ = std::make_unique<pmemtx::PersistentHeap>(xs_tx_data_bytes(), xs_tx_log_bytes(),
-                                                       *env.perf);
+      heap_ = std::make_unique<pmemtx::PersistentHeap>(kTxDataBytes, kTxLogBytes, *env.perf);
       pmacro_ = heap_->allocate<double>(kChannels);
       pcounters_ = heap_->allocate<std::uint64_t>(kChannels);
       punits_ = heap_->allocate<std::uint64_t>(1);
@@ -148,9 +152,9 @@ void McWorkload::make_durable() {
       break;
     case core::DurabilityKind::kTransaction: {
       // One undo-log transaction per interval — the PMEM-library equivalent
-      // of checkpointing the three restart objects (as in run_xs_tx). The
-      // snapshots are taken before the copy, so a crash mid-publish rolls
-      // back to the previous boundary.
+      // of checkpointing the three restart objects. The snapshots are taken
+      // before the copy, so a crash mid-publish rolls back to the previous
+      // boundary.
       pmemtx::Transaction tx(*log_);
       tx.add(pmacro_);
       tx.add(pcounters_);
@@ -241,7 +245,7 @@ Tally McWorkload::tally() const {
 
 bool McWorkload::verify() {
   ADCC_CHECK(done_ == units_, "verify requires a completed run");
-  if (!reference_) reference_ = run_xs_native(data_, cfg_.lookups, cfg_.seed).tally;
+  if (!reference_) reference_ = run_xs_native(data_, cfg_.lookups, cfg_.seed);
   // Lookup inputs are pure functions of (seed, index), so every mode — crashed
   // or not — must reproduce the native tallies exactly.
   return tally().counts == reference_->counts;

@@ -15,11 +15,9 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg) : cfg_(cfg), sets_(cfg.num_
 }
 
 std::size_t SetAssocCache::set_index(std::uintptr_t line_addr) const {
-  // Mix the line number so regions allocated contiguously do not all collide in
-  // the low sets; deterministic across runs.
-  const std::uint64_t line_no = line_addr / cfg_.line_bytes;
-  const std::uint64_t mixed = line_no ^ (line_no >> 17) * 0x9E3779B97F4A7C15ULL;
-  return static_cast<std::size_t>(mixed) & (sets_ - 1);
+  // Consecutive lines fill consecutive sets; where each range starts is the
+  // caller's address choice (MemorySimulator's per-region start line).
+  return static_cast<std::size_t>(line_addr / cfg_.line_bytes) & (sets_ - 1);
 }
 
 SetAssocCache::Entry* SetAssocCache::find(std::uintptr_t line_addr) {

@@ -2,8 +2,11 @@
 //
 // This is the cache the paper's PIN-based "crash emulator" models: the point is
 // not timing but *which lines are dirty in the cache when the machine dies*.
-// The model is line-granular: a line is identified by its aligned address in
-// the host process (the simulated application operates on real host memory).
+// The model is line-granular: a line is identified by an opaque line-aligned
+// address, and consecutive lines map to consecutive sets. MemorySimulator
+// hands it region-relative addresses (registration index in the high bits, a
+// per-region start line plus the offset below), never host addresses, so
+// placement is deterministic.
 #pragma once
 
 #include <cstddef>

@@ -6,11 +6,34 @@
 
 namespace adcc::memsim {
 
+namespace {
+
+// The cache model's line addresses: region registration index + 1 (so no
+// address is 0, the cache's invalid tag) above bit kRegionShift; below it the
+// region's start line plus the byte offset within the region. The cache puts
+// consecutive lines in consecutive sets, so the start line alone decides
+// where a region lands: a pseudo-random one per region keeps separate regions
+// at unrelated set offsets instead of all colliding from set 0.
+constexpr unsigned kRegionShift = 40;
+constexpr std::uintptr_t kOffsetMask = (std::uintptr_t{1} << kRegionShift) - 1;
+constexpr unsigned kStartBits = 30;  // Starts below 1 GiB: enough for any set count.
+constexpr std::size_t kMaxRegionBytes =
+    (std::size_t{1} << kRegionShift) - (std::size_t{1} << kStartBits);
+
+/// Line-aligned start of region `index` below bit kRegionShift.
+std::uintptr_t region_start(RegionId index) {
+  const std::uint64_t h = (index + 1) * 0x9E3779B97F4A7C15ULL;
+  return static_cast<std::uintptr_t>(h >> (64 - kStartBits)) & ~std::uintptr_t{kCacheLine - 1};
+}
+
+}  // namespace
+
 MemorySimulator::MemorySimulator(const CacheConfig& cfg) : cache_(cfg) {}
 
 RegionId MemorySimulator::register_region(std::string name, void* base, std::size_t bytes,
                                           bool read_only) {
   ADCC_CHECK(base != nullptr && bytes > 0, "region must be non-empty");
+  ADCC_CHECK(bytes <= kMaxRegionBytes, "region exceeds the cache model's offset range");
   const auto addr = reinterpret_cast<std::uintptr_t>(base);
   ADCC_CHECK(addr % kCacheLine == 0, "regions must be cache-line aligned (use AlignedArray)");
   // Reject overlap with any active region.
@@ -62,15 +85,28 @@ const MemorySimulator::Region* MemorySimulator::region_of(std::uintptr_t addr) c
   return const_cast<MemorySimulator*>(this)->region_of(addr);
 }
 
-void MemorySimulator::writeback_line(std::uintptr_t line_addr) {
-  Region* r = region_of(line_addr);
-  if (r == nullptr || r->read_only) return;
+std::uintptr_t MemorySimulator::model_addr(const void* p, std::size_t bytes) const {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  const Region* r = region_of(addr);
+  ADCC_CHECK(r != nullptr, "memsim access outside any tracked region");
+  ADCC_CHECK(addr + bytes <= r->base + r->bytes, "memsim access crosses a region end");
+  const auto index = static_cast<RegionId>(r - regions_.data());
+  return ((std::uintptr_t{index} + 1) << kRegionShift) + region_start(index) + (addr - r->base);
+}
+
+RegionId MemorySimulator::region_of_line(std::uintptr_t line) {
+  return (line >> kRegionShift) - 1;
+}
+
+void MemorySimulator::writeback_line(std::uintptr_t line) {
+  const RegionId index = region_of_line(line);
+  Region& r = regions_[index];
+  if (!r.active || r.read_only) return;
   // Clip the 64B line to the region (regions are line-aligned; the final line
   // may be partially owned if bytes is not a line multiple).
-  const std::uintptr_t begin = line_addr;
-  const std::uintptr_t end = std::min(line_addr + kCacheLine, r->base + r->bytes);
-  const std::size_t off = begin - r->base;
-  std::memcpy(r->durable.data() + off, reinterpret_cast<const void*>(begin), end - begin);
+  const std::size_t off = (line & kOffsetMask) - region_start(index);
+  const std::size_t n = std::min<std::size_t>(kCacheLine, r.bytes - off);
+  std::memcpy(r.durable.data() + off, reinterpret_cast<const std::byte*>(r.base) + off, n);
   ++stats_.writebacks;
 }
 
@@ -95,20 +131,20 @@ void MemorySimulator::maybe_crash_on_access() {
 void MemorySimulator::on_read(const void* p, std::size_t bytes) {
   if (bytes == 0 || crashed_) return;
   ++stats_.reads;
-  account_access(reinterpret_cast<std::uintptr_t>(p), bytes, /*is_write=*/false);
+  account_access(model_addr(p, bytes), bytes, /*is_write=*/false);
   maybe_crash_on_access();
 }
 
 void MemorySimulator::on_write(void* p, std::size_t bytes) {
   if (bytes == 0 || crashed_) return;
   ++stats_.writes;
-  account_access(reinterpret_cast<std::uintptr_t>(p), bytes, /*is_write=*/true);
+  account_access(model_addr(p, bytes), bytes, /*is_write=*/true);
   maybe_crash_on_access();
 }
 
 void MemorySimulator::clflush(const void* p, std::size_t bytes) {
   if (bytes == 0 || crashed_) return;
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t addr = model_addr(p, bytes);
   const std::uintptr_t first = addr & ~static_cast<std::uintptr_t>(kCacheLine - 1);
   const std::uintptr_t last =
       (addr + bytes - 1) & ~static_cast<std::uintptr_t>(kCacheLine - 1);
@@ -163,7 +199,7 @@ void MemorySimulator::durable_read(const void* p, void* out, std::size_t bytes) 
 }
 
 bool MemorySimulator::line_dirty(const void* p) const {
-  return cache_.dirty(line_of(p));
+  return cache_.dirty(model_addr(p, 1) & ~static_cast<std::uintptr_t>(kCacheLine - 1));
 }
 
 void MemorySimulator::drain() {
@@ -190,9 +226,8 @@ std::vector<MemorySimulator::RegionCensus> MemorySimulator::dirty_line_census() 
                    0});
   }
   for (const std::uintptr_t line : cache_.dirty_lines()) {
-    const Region* r = region_of(line);
-    if (r == nullptr) continue;
-    const std::size_t ri = static_cast<std::size_t>(r - regions_.data());
+    const RegionId ri = region_of_line(line);
+    if (!regions_[ri].active) continue;  // Left behind by an unregistered region.
     ++out[index_of_region[ri]].dirty_lines;
   }
   return out;

@@ -13,6 +13,12 @@
 //   - Recovery code reads durable bytes (durable_read / restore) — never the
 //     live image, which conceptually died with the machine.
 //
+// The cache model never sees host addresses: each line is placed by its
+// region's registration order and its offset within the region, so which
+// lines conflict — and every statistic and durable image that follows — is a
+// pure function of the access trace, not of where the allocator (or ASLR)
+// put the regions. Accesses outside every registered region are rejected.
+//
 // The simulator is intentionally single-threaded: crash-state reasoning needs
 // a deterministic access interleaving (the paper's PIN tool is sequential for
 // the same reason).
@@ -68,8 +74,8 @@ class MemorySimulator {
 
   // ---- Access notification (the "PIN hooks") -----------------------------
 
-  /// Announces a read/write of [p, p+bytes). Untracked addresses still occupy
-  /// the cache model (they compete for capacity) but have no durable image.
+  /// Announces a read/write of [p, p+bytes), which must lie inside one
+  /// registered region (ContractViolation otherwise).
   void on_read(const void* p, std::size_t bytes);
   void on_write(void* p, std::size_t bytes);
 
@@ -159,7 +165,13 @@ class MemorySimulator {
   Region* region_of(std::uintptr_t addr);
   const Region* region_of(std::uintptr_t addr) const;
 
-  void writeback_line(std::uintptr_t line_addr);
+  /// The cache model's address for [p, p+bytes): region index and offset,
+  /// independent of placement. Rejects untracked or region-crossing ranges.
+  std::uintptr_t model_addr(const void* p, std::size_t bytes) const;
+  /// The region a cache-model line address belongs to (possibly inactive).
+  static RegionId region_of_line(std::uintptr_t line);
+
+  void writeback_line(std::uintptr_t line);
   void account_access(std::uintptr_t addr, std::size_t bytes, bool is_write);
   void maybe_crash_on_access();
 

@@ -260,73 +260,4 @@ double MmCrashConsistent::avg_add_seconds() const {
   return done_adds_ == 0 ? 0.0 : add_seconds_ / static_cast<double>(done_adds_);
 }
 
-// ---------------------------------------------------------------------------
-
-std::size_t mm_cc_native_arena_bytes(std::size_t n, std::size_t rank_k) {
-  const std::size_t nc = n + 1;
-  const std::size_t panels = (n + rank_k - 1) / rank_k;
-  return (panels + 1) * nc * nc * sizeof(double) + (panels + 8) * 2 * kCacheLine;
-}
-
-MmCcNativeResult run_mm_cc_native(const Matrix& a, const Matrix& b, std::size_t rank_k,
-                                  nvm::NvmRegion& region) {
-  ADCC_CHECK(a.rows() == a.cols() && b.rows() == b.cols() && a.rows() == b.rows(),
-             "square matrices of equal size required");
-  const std::size_t n = a.rows();
-  const std::size_t nc = n + 1;
-  const std::size_t panels = (n + rank_k - 1) / rank_k;
-
-  const Matrix ac = abft::encode_column_checksum(a);
-  const Matrix br = abft::encode_row_checksum(b);
-
-  std::vector<std::span<double>> ctemp_s(panels);
-  for (std::size_t s = 0; s < panels; ++s) ctemp_s[s] = region.allocate<double>(nc * nc);
-  std::span<double> ctemp = region.allocate<double>(nc * nc);
-  std::span<std::int64_t> progress = region.allocate<std::int64_t>(kCacheLine / sizeof(std::int64_t));
-
-  MmCcNativeResult out;
-  auto flush_counter = [&](std::int64_t v) {
-    progress[0] = v;
-    region.persist(progress.data(), sizeof(std::int64_t));
-  };
-
-  // Loop 1: submatrix multiplications with checksum flushes.
-  for (std::size_t s = 0; s < panels; ++s) {
-    const std::size_t c0 = s * rank_k;
-    const std::size_t k = std::min(rank_k, n - c0);
-    double* outp = ctemp_s[s].data();
-    core::active_kernel_backend().gemm_tile(ac.data() + c0, ac.cols(), br.data() + c0 * nc, nc,
-                                            nc, nc, k, outp, nc, /*accumulate=*/false);
-    // Persist checksum row + column.
-    region.persist(outp + (nc - 1) * nc, nc * sizeof(double));
-    for (std::size_t i = 0; i < nc; ++i) {
-      region.persist(outp + i * nc + (nc - 1), sizeof(double));
-    }
-    out.checksum_lines_flushed += nc + nc / 8;
-    flush_counter(encode_progress(1, s + 1));
-  }
-
-  // Loop 2: submatrix additions with row-checksum flushes.
-  const std::size_t blocks = (nc + rank_k - 1) / rank_k;
-  std::vector<const double*> panel_ptrs(panels);
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const std::size_t r0 = blk * rank_k;
-    const std::size_t r1 = std::min(nc, r0 + rank_k);
-    for (std::size_t s = 0; s < panels; ++s) panel_ptrs[s] = ctemp_s[s].data() + r0 * nc;
-    core::active_kernel_backend().panel_sum(panel_ptrs.data(), panels, r1 - r0, nc, nc,
-                                            ctemp.data() + r0 * nc, nc);
-    for (std::size_t i = r0; i < r1; ++i) {
-      region.persist(ctemp.data() + i * nc + (nc - 1), sizeof(double));
-    }
-    out.checksum_lines_flushed += r1 - r0;
-    flush_counter(encode_progress(2, blk + 1));
-  }
-
-  out.c = Matrix(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(out.c.row(i).data(), ctemp.data() + i * nc, n * sizeof(double));
-  }
-  return out;
-}
-
 }  // namespace adcc::mm

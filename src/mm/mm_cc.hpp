@@ -18,8 +18,9 @@
 // this bookkeeping implicit), distinguishing "not yet computed" from
 // "computed and consistent" for all-zero data.
 //
-// Two modes again: MmCrashConsistent under memsim (Fig. 7 recomputation) and
-// run_mm_cc_native at full speed (Fig. 8 runtime).
+// MmCrashConsistent runs the scheme under memsim (the Fig. 7 recomputation
+// experiments, the mm-sim workload). The full-speed variant (Fig. 8 runtime)
+// is MmWorkload's alg-* engine.
 #pragma once
 
 #include <memory>
@@ -27,7 +28,6 @@
 
 #include "abft/abft_gemm.hpp"
 #include "memsim/tracked.hpp"
-#include "nvm/nvm_region.hpp"
 
 namespace adcc::mm {
 
@@ -124,18 +124,5 @@ class MmCrashConsistent {
   double mult_seconds_ = 0.0;
   double add_seconds_ = 0.0;
 };
-
-/// Native-mode Fig. 6 algorithm for the Fig. 8 runtime comparison: temporal
-/// matrices live in `region`; only checksum lines (plus the progress counter)
-/// are flushed, charged to the region's perf model.
-struct MmCcNativeResult {
-  linalg::Matrix c;  ///< n×n product.
-  std::uint64_t checksum_lines_flushed = 0;
-};
-MmCcNativeResult run_mm_cc_native(const linalg::Matrix& a, const linalg::Matrix& b,
-                                  std::size_t rank_k, nvm::NvmRegion& region);
-
-/// Arena bytes needed by run_mm_cc_native for an n×n product at rank k.
-std::size_t mm_cc_native_arena_bytes(std::size_t n, std::size_t rank_k);
 
 }  // namespace adcc::mm

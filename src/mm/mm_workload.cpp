@@ -10,11 +10,33 @@
 #include "linalg/gemm.hpp"
 #include "mm/mm_cc.hpp"
 #include "mm/mm_shard.hpp"
-#include "mm/mm_tx.hpp"
 
 namespace adcc::mm {
 
 using linalg::Matrix;
+
+namespace {
+
+// Arena bytes of the alg-* engines: panels + 1 temporal matrices plus the
+// progress-counter and alignment slack.
+std::size_t alg_arena_bytes(std::size_t n, std::size_t rank_k) {
+  const std::size_t nc = n + 1;
+  const std::size_t panels = (n + rank_k - 1) / rank_k;
+  return (panels + 1) * nc * nc * sizeof(double) + (panels + 8) * 2 * kCacheLine;
+}
+
+// pmem-tx heap sizing for an n x n product: the (n+1)^2 accumulator, and a
+// log holding one full accumulator snapshot plus per-4KB-chunk headers.
+std::size_t tx_data_bytes(std::size_t n) {
+  return round_up((n + 1) * (n + 1) * sizeof(double), kCacheLine) + 16 * kCacheLine;
+}
+
+std::size_t tx_log_bytes(std::size_t n) {
+  const std::size_t payload = (n + 1) * (n + 1) * sizeof(double);
+  return round_up(payload + payload / 32, kCacheLine) + 128 * kCacheLine;
+}
+
+}  // namespace
 
 MmWorkloadConfig mm_workload_config(const Options& opts) {
   const bool quick = opts.get_bool("quick");
@@ -48,8 +70,7 @@ void MmWorkload::tune_env(core::Mode mode, core::ModeEnvConfig& env) const {
   env.slot_bytes = cf_bytes + (1u << 20);
   switch (core::durability_kind(mode)) {
     case core::DurabilityKind::kAlgorithm:
-      // panels + 1 temporal matrices live in the arena.
-      env.arena_bytes = mm_cc_native_arena_bytes(cfg_.n, cfg_.rank_k);
+      env.arena_bytes = alg_arena_bytes(cfg_.n, cfg_.rank_k);
       break;
     case core::DurabilityKind::kCheckpoint:
       env.arena_bytes = 2 * cf_bytes + (16u << 20);  // Two slots (fig8 sizing).
@@ -87,8 +108,8 @@ void MmWorkload::prepare(core::ModeEnv& env) {
       break;
     case core::DurabilityKind::kTransaction: {
       ADCC_CHECK(env.perf != nullptr, "pmem-tx mode needs a perf model");
-      heap_ = std::make_unique<pmemtx::PersistentHeap>(mm_tx_data_bytes(cfg_.n),
-                                                       mm_tx_log_bytes(cfg_.n), *env.perf);
+      heap_ = std::make_unique<pmemtx::PersistentHeap>(tx_data_bytes(cfg_.n),
+                                                       tx_log_bytes(cfg_.n), *env.perf);
       tx_cf_ = heap_->allocate<double>(nc_ * nc_);
       tx_step_ = heap_->allocate<std::uint64_t>(kCacheLine / sizeof(std::uint64_t));
       std::memset(tx_cf_.data(), 0, tx_cf_.size_bytes());

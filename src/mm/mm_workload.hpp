@@ -62,6 +62,9 @@ class MmWorkload final : public core::Workload {
   /// The n×n product (checksums stripped); valid once the run completed.
   linalg::Matrix result() const;
 
+  /// pmem-tx: the undo log's counters (null before a pmem-tx prepare).
+  const pmemtx::UndoLogStats* tx_log_stats() const { return log_ ? &log_->stats() : nullptr; }
+
  private:
   void multiply_panel_into(std::size_t s, double* out, bool accumulate) const;
   bool alg_temporal_consistent(std::size_t s) const;

@@ -1,24 +1,15 @@
-// Tests for the CG variants: plain, checkpointed, transactional.
+// Tests for the plain CG kernel: init, step, solve and the true residual.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/check.hpp"
 #include "cg/cg.hpp"
-#include "cg/cg_ckpt.hpp"
-#include "cg/cg_tx.hpp"
-#include "checkpoint/nvm_backend.hpp"
 #include "linalg/spgen.hpp"
 #include "linalg/vec_ops.hpp"
 
 namespace adcc::cg {
 namespace {
-
-nvm::PerfModel& model() {
-  static nvm::PerfModel m(
-      nvm::PerfConfig{.dram_bw_bytes_per_s = 10e9, .bandwidth_slowdown = 1.0, .enabled = false});
-  return m;
-}
 
 struct Problem {
   linalg::CsrMatrix a;
@@ -73,54 +64,6 @@ TEST(CgSolve, RhsSizeMismatchThrows) {
   const Problem p = make_problem(100);
   std::vector<double> bad(50, 1.0);
   EXPECT_THROW(cg_solve(p.a, bad, 3), ContractViolation);
-}
-
-TEST(CgCkpt, ResultIdenticalToPlainCg) {
-  const Problem p = make_problem(400);
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 4u << 20);
-  const auto plain = cg_solve(p.a, p.b, 12);
-  const auto ck = run_cg_checkpointed(p.a, p.b, 12, backend);
-  EXPECT_EQ(ck.checkpoints, 12u);
-  EXPECT_DOUBLE_EQ(linalg::max_abs_diff(plain.x, ck.cg.x), 0.0);  // Same op sequence.
-}
-
-TEST(CgCkpt, ResumeContinuesFromLatestCheckpoint) {
-  const Problem p = make_problem(400);
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 4u << 20);
-  // "Crash" after 7 of 12 iterations: run only 7, then resume to 12.
-  run_cg_checkpointed(p.a, p.b, 7, backend);
-  const auto resumed = resume_cg_checkpointed(p.a, p.b, 12, backend);
-  const auto full = cg_solve(p.a, p.b, 12);
-  EXPECT_DOUBLE_EQ(linalg::max_abs_diff(resumed.x, full.x), 0.0);
-}
-
-TEST(CgCkpt, ResumeWithNoCheckpointRunsFromScratch) {
-  const Problem p = make_problem(200);
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 4u << 20);
-  const auto resumed = resume_cg_checkpointed(p.a, p.b, 6, backend);
-  const auto full = cg_solve(p.a, p.b, 6);
-  EXPECT_DOUBLE_EQ(linalg::max_abs_diff(resumed.x, full.x), 0.0);
-}
-
-TEST(CgTx, ResultIdenticalToPlainCg) {
-  const Problem p = make_problem(300);
-  pmemtx::PersistentHeap heap(cg_tx_data_bytes(300), cg_tx_log_bytes(300), model());
-  const auto plain = cg_solve(p.a, p.b, 10);
-  const auto tx = run_cg_tx(p.a, p.b, 10, heap);
-  EXPECT_DOUBLE_EQ(linalg::max_abs_diff(plain.x, tx.cg.x), 0.0);
-}
-
-TEST(CgTx, LogsThreeVectorsPlusScalarsPerIteration) {
-  const Problem p = make_problem(200);
-  pmemtx::PersistentHeap heap(cg_tx_data_bytes(200), cg_tx_log_bytes(200), model());
-  const auto tx = run_cg_tx(p.a, p.b, 8, heap);
-  EXPECT_EQ(tx.log_stats.transactions, 8u);
-  EXPECT_EQ(tx.log_stats.ranges_logged, 8u * 4);
-  // Per iteration: 3 vectors of n doubles + 2 scalars.
-  EXPECT_EQ(tx.log_stats.bytes_logged, 8u * (3 * 200 * 8 + 16));
 }
 
 TEST(TrueResidual, ZeroForExactSolution) {

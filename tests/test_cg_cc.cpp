@@ -155,17 +155,6 @@ TEST(CgCc, AccessCountTriggerAlsoRecovers) {
   }
 }
 
-TEST(CgCcNative, MatchesPlainCg) {
-  const Problem p = problem(600);
-  nvm::PerfModel m(
-      nvm::PerfConfig{.dram_bw_bytes_per_s = 10e9, .bandwidth_slowdown = 1.0, .enabled = false});
-  nvm::NvmRegion region(64u << 20, m);
-  const auto res = run_cg_cc_native(p.a, p.b, 12, region);
-  const auto plain = cg_solve(p.a, p.b, 12);
-  EXPECT_LT(linalg::max_abs_diff(res.cg.x, plain.x), 1e-12);
-  EXPECT_EQ(res.counter_flushes, 12u);
-}
-
 // Crash-point sweep: recovery must be correct wherever the crash lands.
 class CgCrashSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -192,6 +192,18 @@ TEST(FileBackend, ThrottleBoundsBandwidth) {
   EXPECT_GE(t.elapsed(), 0.07);
 }
 
+TEST(FileBackend, ThrottleHoldsForWindowsShorterThanTimerSlack) {
+  // 200 chunks of 56 header + 64 payload bytes at 4 MB/s: 30 us windows,
+  // below the timer slack, which write_span spins out instead of sleeping.
+  auto b = make_backend(Kind::kFile, /*throttle=*/4e6);
+  b.backend->configure_chunks(chunk_cfg(64, 1));
+  std::vector<double> x(200 * 64 / 8, 1.0);
+  std::vector<ObjectView> objs = {{"x", x.data(), x.size() * 8}};
+  Timer t;
+  b.backend->save(0, 1, objs);
+  EXPECT_GE(t.elapsed(), 200 * 120 / 4e6);
+}
+
 TEST(HeteroBackend, DramCacheSeesBothCopies) {
   auto b = make_backend(Kind::kHetero);
   std::vector<double> x(1024, 1.0);
@@ -285,21 +297,25 @@ TEST_P(BackendTest, UnchangedChunksAreSkippedPerSlot) {
   auto b = make_backend(GetParam());
   b.backend->configure_chunks(chunk_cfg(4096, 1));
   std::vector<double> x(4 * 4096 / 8, 1.0);  // 4 chunks.
+  std::vector<double> y(4096 / 8, 5.0);      // 1 chunk, filtered independently.
   CheckpointSet set(*b.backend);
   set.add("x", x.data(), x.size() * 8);
+  set.add("y", y.data(), y.size() * 8);
   set.save();  // v1 -> slot 1, full.
   set.save();  // v2 -> slot 0, full (first image there).
   set.save();  // v3 -> slot 1, identical to v1: everything skips.
   EXPECT_EQ(set.last_save().chunks_written, 0u);
-  EXPECT_EQ(set.last_save().chunks_skipped, 4u);
-  x[0] = 2.0;  // Dirty chunk 0 only.
+  EXPECT_EQ(set.last_save().chunks_skipped, 5u);
+  x[0] = 2.0;  // Dirty chunk 0 of x only.
   set.save();  // v4 -> slot 0.
   EXPECT_EQ(set.last_save().chunks_written, 1u);
-  EXPECT_EQ(set.last_save().chunks_skipped, 3u);
+  EXPECT_EQ(set.last_save().chunks_skipped, 4u);
   std::fill(x.begin(), x.end(), 0.0);
+  std::fill(y.begin(), y.end(), 0.0);
   EXPECT_EQ(set.restore(), 4u);
   EXPECT_DOUBLE_EQ(x[0], 2.0);
   EXPECT_DOUBLE_EQ(x[1], 1.0);
+  EXPECT_DOUBLE_EQ(y[0], 5.0);
 }
 
 TEST_P(BackendTest, InterruptedSaveLeavesPreviousCheckpointAndIsDetected) {
@@ -377,25 +393,6 @@ TEST(FileBackend, CorruptedPayloadFailsItsCrc) {
     f.write(&flip, 1);
   }
   EXPECT_THROW(b.backend->load(0, objs), TornCheckpoint);
-}
-
-TEST(CheckpointSet, HintedSaveIntoFreshSlotWritesTheFullImage) {
-  // The first save landing in a slot is implicitly full: dirty hints may not
-  // punch never-written holes into a committed image.
-  auto b = make_backend(Kind::kNvm);
-  b.backend->configure_chunks(chunk_cfg(4096, 1));
-  std::vector<double> x(4 * 4096 / 8, 1.0);
-  CheckpointSet set(*b.backend);
-  set.add("x", x.data(), x.size() * 8);
-  set.save();  // v1 -> slot 1.
-  x[0] = 2.0;
-  const CheckpointSet::DirtyRange hints[] = {{0, 0, 8}};
-  set.save(hints);  // v2 -> slot 0's FIRST image: every chunk must land.
-  EXPECT_EQ(set.last_save().chunks_written, 4u);
-  std::fill(x.begin(), x.end(), -1.0);
-  EXPECT_EQ(set.restore(), 2u);
-  EXPECT_DOUBLE_EQ(x[0], 2.0);
-  EXPECT_DOUBLE_EQ(x[512], 1.0);  // Un-hinted chunk restored, not a hole.
 }
 
 TEST(HeteroBackend, InterruptedSaveDebrisDoesNotTearTheNextSave) {

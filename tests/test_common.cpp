@@ -234,6 +234,38 @@ TEST(Options, GetSizeThrowsOnMalformedValue) {
   EXPECT_THROW(o.get_size("arena", 0), ContractViolation);
 }
 
+TEST(Options, NumericValuesMustParseWhole) {
+  const char* argv[] = {"prog",       "--reps=2x",  "--ratio=1.5s", "--empty=",
+                        "--word=abc", "--neg=-3",   "--sci=2.5e1"};
+  Options o(7, const_cast<char**>(argv));
+  for (const char* key : {"reps", "ratio", "empty", "word"}) {
+    EXPECT_THROW(o.get_int(key, 0), ContractViolation) << key;  // Trailing garbage too.
+  }
+  for (const char* key : {"ratio", "empty", "word"}) {
+    EXPECT_THROW(o.get_double(key, 0), ContractViolation) << key;
+  }
+  EXPECT_EQ(o.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(o.get_double("sci", 0), 25.0);
+  EXPECT_EQ(o.get_int("absent", 7), 7);
+}
+
+TEST(Options, MalformedValueMessageNamesKeyAndValue) {
+  const char* argv[] = {"prog", "--reps=2x", "--arena=lots"};
+  Options o(3, const_cast<char**>(argv));
+  const auto message = [](const auto& get) -> std::string {
+    try {
+      get();
+    } catch (const ContractViolation& e) {
+      return e.what();
+    }
+    return "(no exception)";
+  };
+  const std::string reps = message([&] { o.get_int("reps", 1); });
+  EXPECT_NE(reps.find("--reps: '2x'"), std::string::npos) << reps;
+  const std::string arena = message([&] { o.get_size("arena", 1); });
+  EXPECT_NE(arena.find("--arena: 'lots'"), std::string::npos) << arena;
+}
+
 TEST(Options, HelpTextGeneratedFromRegisteredKeys) {
   Options o;
   o.doc("n", "problem size", "128").doc("quick", "CI-sized run");

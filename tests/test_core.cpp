@@ -100,18 +100,6 @@ TEST(MakeEnv, AlgorithmModesHaveArenaButNoBackend) {
   }
 }
 
-TEST(Harness, TimeSecondsMeasuresWork) {
-  const double t = time_seconds([] { spin_for(0.002); });
-  EXPECT_GE(t, 0.0018);
-}
-
-TEST(Harness, MedianSecondsIsRobustToOneSlowRun) {
-  int call = 0;
-  const double t = median_seconds([&] { spin_for(++call == 1 ? 0.01 : 0.001); }, 3,
-                                  /*warmup=*/false);
-  EXPECT_LT(t, 0.006);
-}
-
 TEST(Harness, NormalizeComputesOverheadPercent) {
   const NormalizedTime n = normalize(1.25, 1.0);
   EXPECT_DOUBLE_EQ(n.normalized, 1.25);

@@ -1,20 +1,12 @@
-// Tests for the crash-consistent Monte-Carlo driver (paper Figs. 10–12) and
-// the native Fig. 13 runners.
+// Tests for the crash-consistent Monte-Carlo driver (paper Figs. 10–12).
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "mc/mc_ckpt.hpp"
 #include "mc/xs_cc.hpp"
-#include "checkpoint/nvm_backend.hpp"
 
 namespace adcc::mc {
 namespace {
-
-nvm::PerfModel& model() {
-  static nvm::PerfModel m(
-      nvm::PerfConfig{.dram_bw_bytes_per_s = 10e9, .bandwidth_slowdown = 1.0, .enabled = false});
-  return m;
-}
 
 const XsDataHost& shared_data() {
   static XsDataHost d([] {
@@ -46,7 +38,7 @@ Tally nocrash_reference(XsFlushPolicy policy, std::size_t lookups = 4000) {
 
 TEST(XsCc, UncrashedTallyMatchesNativeKernel) {
   const Tally sim = nocrash_reference(XsFlushPolicy::kSelective);
-  const Tally native = run_xs_native(shared_data(), 4000, 77).tally;
+  const Tally native = run_xs_native(shared_data(), 4000, 77);
   EXPECT_EQ(sim.counts, native.counts);
 }
 
@@ -137,35 +129,6 @@ TEST_P(XsCrashSweep, SelectiveRecoveryExactEverywhere) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sites, XsCrashSweep, ::testing::Values(1, 19, 20, 21, 777, 1999));
-
-// ---- Native (Fig. 13) runners ----
-
-TEST(XsNative, AllDurabilityVariantsProduceIdenticalTallies) {
-  const std::uint64_t L = 3000;
-  const std::uint64_t seed = 9;
-  const auto native = run_xs_native(shared_data(), L, seed);
-
-  nvm::NvmRegion region(8u << 20, model());
-  checkpoint::NvmBackend backend(region, 1u << 10);
-  const auto ck = run_xs_checkpointed(shared_data(), L, seed, 30, backend);
-  EXPECT_EQ(ck.tally.counts, native.tally.counts);
-  EXPECT_EQ(ck.durability_events, L / 30);
-
-  pmemtx::PersistentHeap heap(xs_tx_data_bytes(), xs_tx_log_bytes(), model());
-  const auto tx = run_xs_tx(shared_data(), L, seed, 30, heap);
-  EXPECT_EQ(tx.tally.counts, native.tally.counts);
-
-  nvm::NvmRegion region2(1u << 20, model());
-  const auto cc = run_xs_cc_native(shared_data(), L, seed, 30, region2);
-  EXPECT_EQ(cc.tally.counts, native.tally.counts);
-  EXPECT_EQ(cc.durability_events, L / 30);
-}
-
-TEST(XsNative, IntervalValidation) {
-  nvm::NvmRegion region(1u << 20, model());
-  checkpoint::NvmBackend backend(region, 1u << 10);
-  EXPECT_THROW(run_xs_checkpointed(shared_data(), 10, 1, 0, backend), ContractViolation);
-}
 
 }  // namespace
 }  // namespace adcc::mc

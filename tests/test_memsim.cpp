@@ -2,6 +2,8 @@
 // writebacks, clflush, crash triggers, restore.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
 #include "memsim/memsim.hpp"
 
@@ -142,11 +144,68 @@ TEST(MemSim, DurableReadOutsideRegionsThrows) {
   EXPECT_THROW(f.sim.durable_read(&x, &out, sizeof(double)), ContractViolation);
 }
 
-TEST(MemSim, UntrackedAccessesOnlyCreateCachePressure) {
+TEST(MemSim, UntrackedAccessesAreRejected) {
+  // The cache model places lines by region and offset; a line outside every
+  // region has no placement, so announcing it is a contract violation.
   Fixture f;
   alignas(64) double untracked[8] = {};
-  f.sim.on_write(untracked, sizeof(untracked));  // Must not throw.
-  EXPECT_GE(f.sim.stats().writes, 1u);
+  EXPECT_THROW(f.sim.on_write(untracked, sizeof(untracked)), ContractViolation);
+  EXPECT_THROW(f.sim.on_read(untracked, sizeof(double)), ContractViolation);
+  EXPECT_THROW(f.sim.clflush(untracked, sizeof(double)), ContractViolation);
+  // A range running past its region's end is rejected the same way.
+  EXPECT_THROW(f.sim.on_read(&f.buf[60], 8 * sizeof(double)), ContractViolation);
+}
+
+/// Everything one replay of a fixed two-region trace produces that could
+/// depend on where region B sits relative to region A.
+struct PlacementReplay {
+  SimStats sim;
+  CacheStats cache;
+  std::vector<double> a_durable, b_durable;
+};
+
+/// Dirties every line of A, then every line of B, then reads A back, on a
+/// direct-mapped 64 KB cache, with B placed `gap_bytes` after A's end.
+PlacementReplay replay_two_regions(std::size_t gap_bytes) {
+  constexpr std::size_t kRegionBytes = 16u << 10;
+  constexpr std::size_t n = kRegionBytes / sizeof(double);
+  MemorySimulator sim(tiny_cache(1, 1024));
+  AlignedArray<double> buf(2 * n + gap_bytes / sizeof(double));
+  double* a = buf.data();
+  double* b = a + n + gap_bytes / sizeof(double);
+  sim.register_region("a", a, kRegionBytes);
+  sim.register_region("b", b, kRegionBytes);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = 1.0 + static_cast<double>(i);
+    sim.on_write(&a[i], sizeof(double));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 2.0 + static_cast<double>(i);
+    sim.on_write(&b[i], sizeof(double));
+  }
+  for (std::size_t i = 0; i < n; i += kCacheLine / sizeof(double)) {
+    sim.on_read(&a[i], sizeof(double));
+  }
+  PlacementReplay r{sim.stats(), sim.cache_stats(), std::vector<double>(n),
+                    std::vector<double>(n)};
+  sim.durable_read(a, r.a_durable.data(), kRegionBytes);
+  sim.durable_read(b, r.b_durable.data(), kRegionBytes);
+  return r;
+}
+
+TEST(MemSim, CacheBehaviourIsIndependentOfRegionPlacement) {
+  // Adjacent vs. 64 KB apart: under host-address placement the second layout
+  // aliases every line of B onto A's set and the replays diverge.
+  const PlacementReplay near = replay_two_regions(0);
+  const PlacementReplay far = replay_two_regions(48u << 10);
+  EXPECT_EQ(near.sim.lines_touched, far.sim.lines_touched);
+  EXPECT_EQ(near.sim.writebacks, far.sim.writebacks);
+  EXPECT_EQ(near.cache.hits, far.cache.hits);
+  EXPECT_EQ(near.cache.misses, far.cache.misses);
+  EXPECT_EQ(near.cache.evictions, far.cache.evictions);
+  EXPECT_EQ(near.cache.dirty_evictions, far.cache.dirty_evictions);
+  EXPECT_EQ(near.a_durable, far.a_durable);
+  EXPECT_EQ(near.b_durable, far.b_durable);
 }
 
 TEST(MemSim, AccessCountTriggerFiresCrashException) {

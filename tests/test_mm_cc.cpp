@@ -4,20 +4,11 @@
 #include "common/check.hpp"
 #include "linalg/gemm.hpp"
 #include "mm/mm_cc.hpp"
-#include "mm/mm_ckpt.hpp"
-#include "mm/mm_tx.hpp"
-#include "checkpoint/nvm_backend.hpp"
 
 namespace adcc::mm {
 namespace {
 
 using linalg::Matrix;
-
-nvm::PerfModel& model() {
-  static nvm::PerfModel m(
-      nvm::PerfConfig{.dram_bw_bytes_per_s = 10e9, .bandwidth_slowdown = 1.0, .enabled = false});
-  return m;
-}
 
 MmCcConfig config(std::size_t n, std::size_t k, std::size_t cache_kib) {
   MmCcConfig cfg;
@@ -124,33 +115,6 @@ TEST(MmCc, ResultBeforeCompletionRejected) {
   const Inputs in = inputs(32);
   MmCrashConsistent mm(in.a, in.b, config(32, 8, 64));
   EXPECT_THROW(mm.result(), ContractViolation);
-}
-
-TEST(MmCkpt, MatchesReference) {
-  const Inputs in = inputs(48);
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 1u << 20);
-  const auto res = run_mm_checkpointed(in.a, in.b, 16, backend);
-  EXPECT_LT(Matrix::max_abs_diff(res.c, in.cref), 1e-10);
-  EXPECT_EQ(res.checkpoints, 3u);
-}
-
-TEST(MmTx, MatchesReferenceAndLogsAccumulator) {
-  const std::size_t n = 40;
-  const Inputs in = inputs(n);
-  pmemtx::PersistentHeap heap(mm_tx_data_bytes(n), mm_tx_log_bytes(n), model());
-  const auto res = run_mm_tx(in.a, in.b, 10, heap);
-  EXPECT_LT(Matrix::max_abs_diff(res.c, in.cref), 1e-10);
-  EXPECT_EQ(res.log_stats.transactions, 4u);
-  EXPECT_EQ(res.log_stats.bytes_logged, 4u * (n + 1) * (n + 1) * 8);
-}
-
-TEST(MmCcNative, MatchesReference) {
-  const Inputs in = inputs(56);
-  nvm::NvmRegion region(mm_cc_native_arena_bytes(56, 16), model());
-  const auto res = run_mm_cc_native(in.a, in.b, 16, region);
-  EXPECT_LT(Matrix::max_abs_diff(res.c, in.cref), 1e-10);
-  EXPECT_GT(res.checksum_lines_flushed, 0u);
 }
 
 // Crash sweep over both loops and several sites.

@@ -158,7 +158,7 @@ ScenarioConfig group_config(const Workload& w, Mode mode, const std::string& scr
 /// True iff some committed slot of `backend` holds an intact image of
 /// exactly `version`: valid magic, valid header CRC, matching version.
 bool slot_holds_version(checkpoint::Backend& backend, std::uint64_t version) {
-  for (int s = 0; s < backend.slot_count(); ++s) {
+  for (int s = 0; s < checkpoint::kSlotCount; ++s) {
     checkpoint::SlotHeader h;
     if (backend.read_image(s, {reinterpret_cast<std::byte*>(&h), sizeof(h)}) != sizeof(h)) {
       continue;
@@ -243,7 +243,7 @@ std::vector<std::vector<std::byte>> run_and_dump_slots(const std::string& scratc
   std::vector<std::vector<std::byte>> images;
   for (std::size_t i = 0; i < 4; ++i) {
     checkpoint::Backend& backend = *group->shard_backend(i);
-    for (int s = 0; s < backend.slot_count(); ++s) {
+    for (int s = 0; s < checkpoint::kSlotCount; ++s) {
       std::vector<std::byte> img(1u << 20);
       img.resize(backend.read_image(s, img));
       images.push_back(std::move(img));
