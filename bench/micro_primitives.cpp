@@ -1,8 +1,10 @@
 // Microbenchmarks (google-benchmark) for the persistence primitives: native
-// flush, NVM-throttled persists, checkpoint copies, DRAM-cache staging, and
-// undo-log snapshots. These are the constants behind Figs. 4/8/13.
+// flush, chunk CRC-32, NVM-throttled persists, checkpoint copies, DRAM-cache
+// staging, and undo-log snapshots. These are the constants behind Figs. 4/8/13.
+// The run's context names the flush instruction and CRC kernel the CPU got.
 #include <benchmark/benchmark.h>
 
+#include "checkpoint/chunk.hpp"
 #include "checkpoint/nvm_backend.hpp"
 #include "common/align.hpp"
 #include "nvm/dram_cache.hpp"
@@ -37,6 +39,37 @@ void BM_FlushRange(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_FlushRange)->Range(64, 1 << 20);
+
+// Store to every line, then flush + fence: what NvmRegion::persist pays after
+// a write. BM_FlushRange above flushes lines that are already clean.
+void BM_FlushDirtyRange(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  AlignedBuffer buf(bytes);
+  std::byte fill{0};
+  for (auto _ : state) {
+    fill = static_cast<std::byte>(static_cast<unsigned>(fill) + 1);
+    for (std::size_t i = 0; i < bytes; i += kCacheLine) buf.data()[i] = fill;
+    nvm::flush_range(buf.data(), bytes);
+    nvm::store_fence();
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_FlushDirtyRange)->Range(64, 1 << 20);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  AlignedBuffer buf(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) buf.data()[i] = static_cast<std::byte>(i * 131);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checkpoint::crc32(buf.data(), bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)->Range(64, 1 << 20);
 
 void BM_PersistNvmFast(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
@@ -148,4 +181,13 @@ BENCHMARK(BM_PersistEpochBatched)->Range(8, 1024);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("flush_instruction",
+                              nvm::flush_instruction_name(nvm::flush_instruction()));
+  benchmark::AddCustomContext("crc32_kernel", checkpoint::crc32_kernel());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -13,7 +13,7 @@
 //
 // CgCrashConsistent runs the scheme under memsim (the Fig. 3 recomputation
 // experiments, the cg-sim workload). The full-speed variant with a real
-// CLFLUSH of the counter line (Fig. 4 runtime) is CgWorkload's alg-* engine.
+// flush of the counter line (Fig. 4 runtime) is CgWorkload's alg-* engine.
 #pragma once
 
 #include <memory>

@@ -5,7 +5,7 @@
 // Three media are modelled, matching the paper's test cases (2)-(4):
 //   * FileBackend   — local hard drive (pwrite + fdatasync, optional device
 //                     bandwidth model)
-//   * NvmBackend    — NVM-only main memory (memcpy + CLFLUSH + fence)
+//   * NvmBackend    — NVM-only main memory (memcpy + flush + fence)
 //   * HeteroBackend — heterogeneous NVM/DRAM (copy into the DRAM cache, then
 //                     drain the DRAM cache through to NVM)
 //

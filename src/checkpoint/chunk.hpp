@@ -42,8 +42,15 @@ struct ObjectView {
 /// Total payload bytes of an object set.
 std::size_t total_bytes(std::span<const ObjectView> objs);
 
-/// CRC-32 (IEEE, reflected 0xEDB88320), slicing-by-4.
+/// CRC-32 (IEEE, reflected 0xEDB88320). `seed` chains a previous result:
+/// crc32(b, n, crc32(a, m)) is the CRC of a followed by b. Inputs of 64 bytes
+/// and more fold 16-byte blocks with PCLMULQDQ when the CPU has it; shorter
+/// inputs, tail bytes and other CPUs use a slicing-by-4 table loop. Both give
+/// the same value, so on-media images do not depend on the CPU.
 std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed = 0);
+
+/// The kernel crc32 runs on this CPU: "pclmul" or "table".
+const char* crc32_kernel();
 
 /// How the engine splits and serializes a checkpoint.
 struct ChunkConfig {

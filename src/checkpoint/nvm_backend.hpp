@@ -1,5 +1,5 @@
 // NVM-only memory checkpointing (paper test case 3): chunk spans are
-// write_durable'd (memcpy + CLFLUSH + fence) into slot arenas allocated from
+// write_durable'd (memcpy + flush + fence) into slot arenas allocated from
 // an NvmRegion, charged to the arena's perf model. With a slowdown-1 model
 // this is the paper's optimistic "NVM as fast as DRAM" configuration (4.2 %
 // overhead for CG); with slowdown 8 it is the pessimistic one (43.6 %).

@@ -4,7 +4,7 @@
 // every 0.01 % of lookups). The restart state is the paper's trio —
 // macro_xs_vector, the five tally counters, and the progress counter — made
 // durable per unit by the mode's mechanism: nothing (native), a checkpoint
-// (ckpt-*), an undo-log transaction (pmem-tx), or three CLFLUSHed cache lines
+// (ckpt-*), an undo-log transaction (pmem-tx), or three flushed cache lines
 // (alg-*, Fig. 11 line 9). Lookups accumulate into the volatile working copy;
 // make_durable publishes it to the mode's durable snapshot, so a mid-unit
 // crash (FaultSurface sites after every lookup) can never leak a partial

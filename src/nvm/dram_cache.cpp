@@ -12,7 +12,8 @@ DramCache::DramCache(std::size_t capacity_bytes, NvmRegion& backing)
 }
 
 void DramCache::write(void* dst, const void* src, std::size_t bytes) {
-  ADCC_CHECK(backing_.contains(dst), "DramCache::write destination must be NVM arena memory");
+  ADCC_CHECK(backing_.contains(dst, bytes),
+             "DramCache::write destination must be NVM arena memory");
   std::size_t done = 0;
   while (done < bytes) {
     if (staging_used_ == staging_.size()) {

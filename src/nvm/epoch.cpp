@@ -6,7 +6,7 @@
 namespace adcc::nvm {
 
 void EpochPersister::stage(const void* p, std::size_t bytes) {
-  ADCC_CHECK(region_.contains(p), "staged range must be arena memory");
+  ADCC_CHECK(region_.contains(p, bytes), "staged range must be arena memory");
   if (bytes == 0) return;
   staged_.push_back({p, bytes});
   ++stats_.staged_ranges;
@@ -16,8 +16,8 @@ void EpochPersister::commit_epoch() {
   if (staged_.empty()) return;
   std::size_t lines = 0;
   for (const Range& r : staged_) {
-    // CLFLUSHOPT-style weakly-ordered flushes: no fence between ranges.
-    flush_range(r.p, r.bytes, FlushInstruction::kClflushopt);
+    // No fence between ranges: with CLWB/CLFLUSHOPT the flushes overlap.
+    flush_range(r.p, r.bytes);
     lines += flush_line_count(r.p, r.bytes);
   }
   store_fence();  // One ordering point per epoch.

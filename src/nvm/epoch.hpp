@@ -1,13 +1,15 @@
 // Epoch-batched persistence (paper related work: Pelley et al. memory
 // persistency, Joshi et al. persist barriers).
 //
-// Instead of flush+fence per range (the paper's CLFLUSH discipline), an
-// EpochPersister *stages* ranges and issues all flushes followed by a single
-// fence at the epoch boundary. Within an epoch persists may reorder; across
-// epochs they are ordered — the buffered epoch persistency model. The paper
-// notes such schemes are "complementary to our work to improve the
-// performance of cache flushing (especially for ... ABFT for matrix
-// multiplication)"; bench/micro_primitives quantifies the saving.
+// Instead of flush+fence per range (NvmRegion::persist), an EpochPersister
+// *stages* ranges and issues all flushes followed by a single fence at the
+// epoch boundary. With CLWB/CLFLUSHOPT (see nvm::flush_instruction) the
+// epoch's flushes overlap and only that fence waits for them; under CLFLUSH,
+// which serializes, batching saves the per-range fences alone. Within an epoch
+// persists may reorder; across epochs they are ordered — the buffered epoch
+// persistency model. The paper notes such schemes are "complementary to our
+// work to improve the performance of cache flushing (especially for ... ABFT
+// for matrix multiplication)"; bench/micro_primitives quantifies the saving.
 #pragma once
 
 #include <cstdint>

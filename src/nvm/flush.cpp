@@ -5,7 +5,8 @@
 
 #include "common/align.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64)
+#if defined(__x86_64__)
+#include <cpuid.h>
 #include <immintrin.h>
 #define ADCC_X86 1
 #else
@@ -14,41 +15,85 @@
 
 namespace adcc::nvm {
 
-bool native_flush_available() { return ADCC_X86 != 0; }
-
 namespace {
 
-inline void flush_one(const void* line, FlushInstruction ins) {
 #if ADCC_X86
-  switch (ins) {
-    case FlushInstruction::kClflush:
-      _mm_clflush(line);
-      break;
-    case FlushInstruction::kClflushopt:
-      // CLFLUSHOPT requires a CPU flag; CLFLUSH is a safe superset behaviourally.
-      _mm_clflush(line);
-      break;
-    case FlushInstruction::kClwb:
-      _mm_clflush(line);
-      break;
+// One loop per instruction, each compiled for the ISA extension it needs; the
+// CPUID probe below guarantees only a supported one ever runs.
+void flush_lines_clflush(std::uintptr_t first, std::uintptr_t last) {
+  for (std::uintptr_t line = first; line <= last; line += kCacheLine) {
+    _mm_clflush(reinterpret_cast<const void*>(line));
   }
-#else
-  (void)line;
-  (void)ins;
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-#endif
 }
+
+__attribute__((target("clflushopt"))) void flush_lines_clflushopt(std::uintptr_t first,
+                                                                  std::uintptr_t last) {
+  for (std::uintptr_t line = first; line <= last; line += kCacheLine) {
+    _mm_clflushopt(reinterpret_cast<void*>(line));
+  }
+}
+
+__attribute__((target("clwb"))) void flush_lines_clwb(std::uintptr_t first, std::uintptr_t last) {
+  for (std::uintptr_t line = first; line <= last; line += kCacheLine) {
+    _mm_clwb(reinterpret_cast<void*>(line));
+  }
+}
+
+FlushInstruction probe_instruction() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
+    if (ebx & bit_CLWB) return FlushInstruction::kClwb;
+    if (ebx & bit_CLFLUSHOPT) return FlushInstruction::kClflushopt;
+  }
+  return FlushInstruction::kClflush;
+}
+#endif
 
 }  // namespace
 
-void flush_range(const void* p, std::size_t bytes, FlushInstruction ins) {
-  if (bytes == 0) return;
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t first = addr & ~static_cast<std::uintptr_t>(kCacheLine - 1);
-  const std::uintptr_t last = (addr + bytes - 1) & ~static_cast<std::uintptr_t>(kCacheLine - 1);
-  for (std::uintptr_t line = first; line <= last; line += kCacheLine) {
-    flush_one(reinterpret_cast<const void*>(line), ins);
+FlushInstruction flush_instruction() {
+#if ADCC_X86
+  static const FlushInstruction chosen = probe_instruction();
+  return chosen;
+#else
+  return FlushInstruction::kClflush;
+#endif
+}
+
+const char* flush_instruction_name(FlushInstruction ins) {
+  switch (ins) {
+    case FlushInstruction::kClflushopt:
+      return "clflushopt";
+    case FlushInstruction::kClwb:
+      return "clwb";
+    case FlushInstruction::kClflush:
+      break;
   }
+  return "clflush";
+}
+
+void flush_range(const void* p, std::size_t bytes) {
+  if (bytes == 0) return;
+#if ADCC_X86
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t mask = ~static_cast<std::uintptr_t>(kCacheLine - 1);
+  const std::uintptr_t first = addr & mask;
+  const std::uintptr_t last = (addr + bytes - 1) & mask;
+  switch (flush_instruction()) {
+    case FlushInstruction::kClwb:
+      flush_lines_clwb(first, last);
+      return;
+    case FlushInstruction::kClflushopt:
+      flush_lines_clflushopt(first, last);
+      return;
+    case FlushInstruction::kClflush:
+      break;
+  }
+  flush_lines_clflush(first, last);
+#else
+  (void)p;
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+#endif
 }
 
 void store_fence() {

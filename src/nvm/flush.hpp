@@ -1,9 +1,13 @@
 // Native cache-flush and fence primitives (the persistence ISA extensions).
 //
-// The paper uses CLFLUSH, the most widely available flush instruction, and
-// discusses CLFLUSHOPT/CLWB as future improvements. On x86-64 we emit the real
-// instructions; elsewhere a portable compiler-barrier fallback keeps the code
-// path exercised (costs are then modelled purely by nvm::PerfModel).
+// The paper flushes with CLFLUSH and notes that CLFLUSHOPT/CLWB "should further
+// improve performance". On x86-64, flush_range uses the best of the three the
+// CPU has, chosen once from CPUID leaf 7 the way PMDK's libpmem does: CLWB
+// (write back, keep the line cached), else CLFLUSHOPT (weakly ordered flush),
+// else CLFLUSH. CLWB and CLFLUSHOPT are ordered only by a fence, so a persist
+// is flush_range followed by store_fence(). Elsewhere a portable fence fallback
+// keeps the code path exercised (costs are then modelled purely by
+// nvm::PerfModel).
 #pragma once
 
 #include <cstddef>
@@ -11,16 +15,21 @@
 namespace adcc::nvm {
 
 enum class FlushInstruction {
-  kClflush,     ///< Serializing flush (paper's choice).
-  kClflushopt,  ///< Weakly-ordered flush (paper: "should further improve performance").
-  kClwb,        ///< Write-back without invalidate.
+  kClflush,     ///< Serializing flush + invalidate (paper's choice).
+  kClflushopt,  ///< Weakly-ordered flush + invalidate.
+  kClwb,        ///< Weakly-ordered write-back; the line may stay cached.
 };
 
-/// True if this build can execute real flush instructions.
-bool native_flush_available();
+/// The instruction flush_range executes on this CPU. Builds without native
+/// flushes (non-x86) report kClflush, the instruction their fence stands in for.
+FlushInstruction flush_instruction();
 
-/// Flushes every cache line overlapping [p, p+bytes) with `ins`.
-void flush_range(const void* p, std::size_t bytes, FlushInstruction ins = FlushInstruction::kClflush);
+/// Lower-case mnemonic of `ins` ("clflush", "clflushopt", "clwb").
+const char* flush_instruction_name(FlushInstruction ins);
+
+/// Flushes every cache line overlapping [p, p+bytes) with flush_instruction().
+/// Not durable until the next store_fence().
+void flush_range(const void* p, std::size_t bytes);
 
 /// Store fence ordering flushed lines before subsequent stores.
 void store_fence();

@@ -20,7 +20,7 @@ void* NvmRegion::allocate_bytes(std::size_t bytes, std::size_t align) {
 }
 
 void NvmRegion::write_durable(void* dst, const void* src, std::size_t bytes) {
-  ADCC_CHECK(contains(dst), "write_durable destination must be arena memory");
+  ADCC_CHECK(contains(dst, bytes), "write_durable destination must be arena memory");
   std::memcpy(dst, src, bytes);
   persist(dst, bytes);
   ++stats_.bulk_writes;
@@ -28,7 +28,7 @@ void NvmRegion::write_durable(void* dst, const void* src, std::size_t bytes) {
 }
 
 void NvmRegion::persist(const void* p, std::size_t bytes) {
-  ADCC_CHECK(contains(p), "persist target must be arena memory");
+  ADCC_CHECK(contains(p, bytes), "persist target must be arena memory");
   flush_range(p, bytes);
   store_fence();
   const std::size_t lines = flush_line_count(p, bytes);
@@ -38,9 +38,10 @@ void NvmRegion::persist(const void* p, std::size_t bytes) {
   stats_.persisted_lines += lines;
 }
 
-bool NvmRegion::contains(const void* p) const {
-  const auto* b = static_cast<const std::byte*>(p);
-  return b >= buf_.data() && b < buf_.data() + buf_.size();
+bool NvmRegion::contains(const void* p, std::size_t bytes) const {
+  const auto base = reinterpret_cast<std::uintptr_t>(buf_.data());
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  return addr >= base && addr - base < buf_.size() && bytes <= buf_.size() - (addr - base);
 }
 
 }  // namespace adcc::nvm

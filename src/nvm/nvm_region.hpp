@@ -58,7 +58,8 @@ class NvmRegion {
   /// Persists arena bytes already written in place: flush + fence + charge.
   void persist(const void* p, std::size_t bytes);
 
-  bool contains(const void* p) const;
+  /// True if p and all of [p, p+bytes) lie inside the arena.
+  bool contains(const void* p, std::size_t bytes = 1) const;
   std::size_t capacity() const { return buf_.size(); }
   std::size_t used() const { return used_; }
   const std::string& name() const { return name_; }

@@ -25,7 +25,7 @@ class PersistentHeap {
   /// The raw log area (owned by UndoLog).
   std::span<std::byte> log_area() { return {log_area_, log_bytes_}; }
 
-  bool contains(const void* p) const { return region_.contains(p); }
+  bool contains(const void* p, std::size_t bytes = 1) const { return region_.contains(p, bytes); }
 
  private:
   nvm::NvmRegion region_;

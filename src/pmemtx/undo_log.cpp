@@ -39,7 +39,7 @@ void UndoLog::begin() {
 
 void UndoLog::add_range(void* p, std::size_t bytes) {
   ADCC_CHECK(active_, "add_range outside a transaction");
-  ADCC_CHECK(heap_.contains(p), "add_range target must live in the persistent heap");
+  ADCC_CHECK(heap_.contains(p, bytes), "add_range target must live in the persistent heap");
   // PMDK's ulog snapshots in fixed-size chunks; each chunk is persisted (flush
   // + fence) and published via a persisted header update before the caller may
   // store to it.

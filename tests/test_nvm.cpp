@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
@@ -31,12 +36,39 @@ TEST(Flush, RangeDoesNotCrashAndPreservesData) {
   EXPECT_DOUBLE_EQ(a[7], 1.25);
 }
 
-TEST(Flush, AllInstructionVariantsWork) {
-  AlignedArray<double> a(8);
-  flush_range(a.data(), 64, FlushInstruction::kClflush);
-  flush_range(a.data(), 64, FlushInstruction::kClflushopt);
-  flush_range(a.data(), 64, FlushInstruction::kClwb);
-  SUCCEED();
+TEST(Flush, SelectedInstructionMatchesCpuid) {
+  FlushInstruction expected = FlushInstruction::kClflush;
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
+    if (ebx & (1u << 24)) {
+      expected = FlushInstruction::kClwb;
+    } else if (ebx & (1u << 23)) {
+      expected = FlushInstruction::kClflushopt;
+    }
+  }
+#endif
+  EXPECT_EQ(flush_instruction(), expected);
+  EXPECT_STREQ(flush_instruction_name(FlushInstruction::kClflush), "clflush");
+  EXPECT_STREQ(flush_instruction_name(FlushInstruction::kClflushopt), "clflushopt");
+  EXPECT_STREQ(flush_instruction_name(FlushInstruction::kClwb), "clwb");
+}
+
+TEST(Flush, UnalignedLineCrossingPersistKeepsDataAndCountsLines) {
+  PerfModel m = fast_model();
+  NvmRegion r(4 * kCacheLine, m);
+  auto s = r.allocate<unsigned char>(3 * kCacheLine);
+  // Bytes [60, 130) touch lines 0, 1 and 2 of the allocation.
+  for (std::size_t i = 60; i < 130; ++i) s[i] = static_cast<unsigned char>(i);
+  EXPECT_EQ(flush_line_count(s.data() + 60, 70), 3u);
+  r.persist(s.data() + 60, 70);
+  EXPECT_EQ(r.stats().persisted_lines, 3u);
+  std::vector<unsigned char> src(5, 0xAB);
+  r.write_durable(s.data() + 62, src.data(), src.size());  // Crosses line 0 into line 1.
+  EXPECT_EQ(r.stats().persisted_lines, 5u);
+  for (std::size_t i = 60; i < 130; ++i) {
+    EXPECT_EQ(s[i], i >= 62 && i < 67 ? 0xAB : i) << "byte " << i;
+  }
 }
 
 TEST(Flush, LineCountMatchesSpan) {
@@ -134,6 +166,25 @@ TEST(NvmRegion, PersistRejectsForeignPointers) {
   EXPECT_THROW(r.persist(&x, sizeof(x)), ContractViolation);
 }
 
+TEST(NvmRegion, SpansCrossingTheArenaEndThrow) {
+  PerfModel m = fast_model();
+  NvmRegion r(4096, m);
+  auto s = r.allocate<std::byte>(4096);
+  std::vector<std::byte> src(256, std::byte{7});
+  std::byte* tail = s.data() + 4000;  // 96 bytes before the arena end.
+  EXPECT_THROW(r.write_durable(tail, src.data(), 256), ContractViolation);
+  EXPECT_THROW(r.persist(tail, 256), ContractViolation);
+  DramCache dc(128 * kCacheLine, r);
+  EXPECT_THROW(dc.write(tail, src.data(), 256), ContractViolation);
+  EXPECT_EQ(dc.pending(), 0u);
+  EpochPersister ep(r);
+  EXPECT_THROW(ep.stage(tail, 256), ContractViolation);
+  // A span ending exactly at the arena end is still arena memory.
+  r.write_durable(tail, src.data(), 96);
+  EXPECT_EQ(s[4095], std::byte{7});
+  EXPECT_EQ(r.stats().bulk_writes, 1u);
+}
+
 TEST(NvmRegion, ContainsChecksArenaBounds) {
   PerfModel m = fast_model();
   NvmRegion r(1u << 20, m);
@@ -141,6 +192,12 @@ TEST(NvmRegion, ContainsChecksArenaBounds) {
   EXPECT_TRUE(r.contains(s.data()));
   double x = 0;
   EXPECT_FALSE(r.contains(&x));
+  const auto* base = reinterpret_cast<const std::byte*>(s.data());
+  EXPECT_TRUE(r.contains(base, r.capacity()));
+  EXPECT_FALSE(r.contains(base, r.capacity() + 1));
+  EXPECT_TRUE(r.contains(base + r.capacity() - 1, 1));
+  EXPECT_FALSE(r.contains(base + r.capacity() - 1, 2));
+  EXPECT_FALSE(r.contains(base + r.capacity(), 0));
 }
 
 TEST(DramCache, WriteThenDrainLandsInNvm) {

@@ -103,6 +103,17 @@ TEST(UndoLog, AddRangeOutsideHeapThrows) {
   EXPECT_THROW(log.add_range(&x, sizeof(x)), ContractViolation);
 }
 
+TEST(UndoLog, AddRangeCrossingTheHeapEndThrows) {
+  PersistentHeap h(4096, 4096, model());
+  const std::size_t free_bytes = h.region().capacity() - h.region().used();
+  auto v = h.allocate<std::byte>(free_bytes);
+  UndoLog log(h);
+  log.begin();
+  EXPECT_THROW(log.add_range(v.data() + free_bytes - 64, 256), ContractViolation);
+  log.add_range(v.data() + free_bytes - 64, 64);
+  log.commit();
+}
+
 TEST(UndoLog, LogExhaustionThrows) {
   PersistentHeap h(1u << 16, 4 * kCacheLine, model());
   auto v = h.allocate<double>(512);
