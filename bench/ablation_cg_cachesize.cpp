@@ -6,10 +6,10 @@
 // recomputation is bounded by ~1 iteration; a cache large enough to hold the
 // whole history loses everything. This sweep exposes that boundary directly.
 //
-// Since the sweep-engine port this is a thin SweepSpec declaration over the
-// cg-sim workload — equivalent to
+// A thin SweepSpec declaration over the cg workload's alg-nvm engine under
+// the crash emulator — equivalent to
 //
-//   adccbench --sweep=workload=cg-sim,cache_mb=1:64:x2,crash=point:cg:p_updated:15
+//   adccbench --sweep=workload=cg,mode=alg-nvm,cache_mb=1:64:x2,crash=point:cg:p_updated:15
 //   (plus --no_baseline)
 //
 // so it inherits --sweep_jobs, --format/--out, per-cell failure capture, and
@@ -20,7 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "cg/cg_cc.hpp"
+#include "cg/cg_workload.hpp"
 #include "common/options.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
@@ -45,9 +45,8 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  // The ablation's own problem defaults (denser per-iteration working set than
-  // the cg-sim registry defaults, so the cache boundary lands inside the
-  // swept range); explicit flags still win.
+  // The ablation's own problem defaults (so the cache boundary lands inside
+  // the swept range); explicit flags still win.
   if (!opts.has("n")) opts.set("n", quick ? "4000" : "14000");
   if (!opts.has("nz")) opts.set("nz", "11");
   const std::size_t iters = opts.get_size("iters", 15);
@@ -56,12 +55,12 @@ int main(int argc, char** argv) try {
   std::string cache_mbs = opts.get("cache_mbs", quick ? "1+4+16" : "1+2+4+8+16+32+64");
   std::replace(cache_mbs.begin(), cache_mbs.end(), ',', '+');  // Legacy spelling.
   const std::string crash = opts.get(
-      "crash", std::string("point:") + cg::CgCrashConsistent::kPointPUpdated + ":" +
+      "crash", std::string("point:") + cg::CgWorkload::kPointPUpdated + ":" +
                    std::to_string(iters));
 
   std::string error;
   const auto spec = core::parse_sweep(
-      "workload=cg-sim,cache_mb=" + cache_mbs + ",crash=" + crash, &error);
+      "workload=cg,mode=alg-nvm,cache_mb=" + cache_mbs + ",crash=" + crash, &error);
   if (!spec) {
     std::fprintf(stderr, "ablation_cg_cachesize: %s\n", error.c_str());
     return 2;

@@ -6,10 +6,10 @@
 //   adccbench --workload=cg --mode=alg-nvm/dram --crash=step:7
 //   adccbench --workload=mm --mode=all --reps=3
 //   adccbench --workload=cg --mode=all --crash=fuzz:17     # mid-unit fuzzing
-//   adccbench --workload=cg-sim --crash=point:cg:p_updated:15
+//   adccbench --workload=cg --mode=alg-nvm --cache_mb=8 --crash=point:cg:p_updated:15
 //   adccbench --matrix --quick          # full workload x mode cross-product
 //   adccbench --sweep=mode=all,n=1000:4000:1000 --quick    # batched deck
-//   adccbench --sweep=workload=cg-sim,cache_mb=1:64:x2 --sweep_jobs=4
+//   adccbench --workload=cg --mode=alg-nvm --sweep=cache_mb=1:64:x2 --sweep_jobs=4
 //   adccbench --sweep=mode=all,threads=1:4 --format=csv --out=deck.csv
 //
 // Every run is a sweep deck: the scalar --workload/--mode/--crash flags are
@@ -71,7 +71,7 @@ int main(int argc, char** argv) try {
            "axis grid: key=v1+v2,key=lo:hi[:step|:xF],... (axes: workload, mode, "
            "crash, policy, backend, and any workload option key)")
       .doc("sweep_jobs", "worker threads executing deck cells", "1")
-      .doc("matrix", "run every registered workload x every mode (skips *-sim)", "off")
+      .doc("matrix", "run every registered workload x every mode", "off")
       .doc("list", "list registered workloads and exit")
       .doc("format", "table output: table | csv | json", "table")
       .doc("out", "also write the table to this file (format from extension)")
@@ -98,8 +98,11 @@ int main(int argc, char** argv) try {
       .doc("interval", "mc: lookups per durability unit")
       .doc("nuclides", "mc: nuclide count")
       .doc("gridpoints", "mc: gridpoints per nuclide")
-      .doc("policy", "mc-sim: flush policy basic | selective | every", "selective")
-      .doc("cache_mb", "*-sim: simulated LLC size, MB", "8")
+      .doc("policy", "mc alg-* flush policy: basic | selective", "selective")
+      .doc("cache_mb",
+           "alg-* modes: run under the crash emulator with this LLC size, MB "
+           "(only flushed or evicted lines survive a crash)",
+           "off")
       .doc("seed_a", "mm: seed of matrix A", "seed")
       .doc("seed_b", "mm: seed of matrix B", "seed+1")
       .doc("arena", "NVM arena bytes override (e.g. 64M, 1G)")
@@ -197,21 +200,12 @@ int main(int argc, char** argv) try {
     spec.axes.insert(front ? spec.axes.begin() : spec.axes.end(), std::move(*axis));
     return true;
   };
-  // Workload first: the mode default depends on what the deck sweeps.
   if (!inject("workload", opts.get_bool("matrix") ? "all" : opts.get("workload", "cg"),
               /*front=*/true)) {
     return 2;
   }
-  // The *-sim workloads ignore the mode axis, so a deck of only sims would run
-  // every scenario seven times under the default mode=all injection; an
-  // explicit --mode (or a mode axis in --sweep) still wins.
-  const core::SweepAxis* workloads = spec.find("workload");
-  const bool all_sim =
-      std::all_of(workloads->values.begin(), workloads->values.end(),
-                  [](const std::string& name) { return name.ends_with("-sim"); });
-  const std::string default_mode = all_sim && !opts.has("mode") ? "native" : "all";
   if (spec.find("mode") == nullptr) {
-    auto axis = core::make_axis("mode", opts.get("mode", default_mode), &error);
+    auto axis = core::make_axis("mode", opts.get("mode", "all"), &error);
     if (!axis) {
       std::fprintf(stderr, "adccbench: bad --mode: %s\n", error.c_str());
       return 2;

@@ -6,9 +6,9 @@
 // ≈ equally; the basic-idea restart loses the cache-resident counter updates,
 // so its tallies diverge visibly (the paper saw up to 8 % gaps).
 //
-// Ported onto ScenarioRunner: the mc-sim workload (one lookup per work unit)
-// runs XsCrashConsistent under the unified driver; the crash is the plan
-// `point:xs:lookup_end:K` with K = crash_pct% of the lookups.
+// The mc workload's alg-nvm engine runs under the crash emulator (cache_mb)
+// with the basic-idea flush policy and one lookup per work unit; the crash is
+// the plan `point:xs:lookup_end:K` with K = crash_pct% of the lookups.
 //
 // Flags: --lookups=200000 --nuclides=68 --gridpoints=2000 --cache_mb=8
 //        --crash_pct=10 --quick (scaled down)
@@ -18,7 +18,7 @@
 #include "common/options.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
-#include "mc/mc_sim_workload.hpp"
+#include "mc/mc_workload.hpp"
 
 int main(int argc, char** argv) try {
   using namespace adcc;
@@ -32,17 +32,18 @@ int main(int argc, char** argv) try {
   if (opts.maybe_print_help("fig10_xs_basic")) return 0;
   const bool quick = opts.get_bool("quick");
 
-  mc::McSimWorkloadConfig wcfg;
+  mc::McWorkloadConfig wcfg;
   wcfg.data.n_nuclides = opts.get_size("nuclides", quick ? 24 : 68);
   wcfg.data.gridpoints_per_nuclide = opts.get_size("gridpoints", quick ? 500 : 2000);
   wcfg.lookups = opts.get_size("lookups", quick ? 50'000 : 200'000);
+  wcfg.interval = 1;  // The basic idea flushes the loop index every lookup.
   wcfg.policy = mc::XsFlushPolicy::kBasicIdea;
   wcfg.cache_bytes = opts.get_size("cache_mb", 8) << 20;
-  wcfg.rng_seed = 99;
+  wcfg.seed = 99;
   const double crash_pct = opts.get_double("crash_pct", 10.0);
   const std::uint64_t lookups = wcfg.lookups;
 
-  mc::McSimWorkload workload(wcfg);
+  mc::McWorkload workload(wcfg);
   core::print_banner(
       "Fig. 10", "XSBench tallies: no crash vs basic-idea restart (grids " +
                      std::to_string(wcfg.data.footprint_bytes() >> 20) + " MB, crash at " +
@@ -50,18 +51,21 @@ int main(int argc, char** argv) try {
                      " lookups)");
 
   core::ScenarioConfig nocrash;
-  nocrash.mode = core::Mode::kAlgNvm;  // The simulated scheme fixes durability.
+  nocrash.mode = core::Mode::kAlgNvm;
   workload.tune_env(nocrash.mode, nocrash.env);
-  const core::ScenarioResult clean = core::run_scenario(workload, nocrash);
-  ADCC_CHECK(clean.crashes == 0, "unexpected crash");
+  // The tallies live in the run's NVM arena: read them while the runner that
+  // owns it is alive.
+  core::ScenarioRunner clean(workload, nocrash);
+  ADCC_CHECK(clean.run().crashes == 0, "unexpected crash");
   const mc::Tally ref = workload.tally();
 
   core::ScenarioConfig crashed = nocrash;
   crashed.crash.kind = core::CrashScenario::Kind::kAtPoint;
-  crashed.crash.point = mc::XsCrashConsistent::kPointLookupEnd;
+  crashed.crash.point = mc::McWorkload::kPointLookupEnd;
   crashed.crash.occurrence =
       static_cast<std::uint64_t>(static_cast<double>(lookups) * crash_pct / 100.0);
-  const core::ScenarioResult res = core::run_scenario(workload, crashed);
+  core::ScenarioRunner runner(workload, crashed);
+  const core::ScenarioResult res = runner.run();
   ADCC_CHECK(res.crashes == 1, "crash did not fire");
   const mc::Tally bad = workload.tally();
 

@@ -5,9 +5,10 @@
 // Expected shape: the two tally distributions agree (in our deterministic
 // counter-based-RNG setup they match exactly).
 //
-// Ported onto ScenarioRunner: same mc-sim workload as fig10, selective policy;
-// ScenarioResult carries the restart lookup, and the bench exits non-zero
-// unless the crashed run's tallies match the no-crash reference bit-for-bit.
+// The mc workload's alg-nvm engine runs under the crash emulator as in fig10,
+// with the selective policy and one flush interval per work unit;
+// ScenarioResult carries the restart unit, and the bench exits non-zero unless
+// the crashed run's tallies match the no-crash reference bit-for-bit.
 //
 // Flags: --lookups=200000 --nuclides=68 --gridpoints=2000 --cache_mb=8
 //        --crash_pct=10 --flush_pct=0.01 --quick
@@ -18,14 +19,14 @@
 #include "common/options.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
-#include "mc/mc_sim_workload.hpp"
+#include "mc/mc_workload.hpp"
 
 int main(int argc, char** argv) try {
   using namespace adcc;
   const Options opts(argc, argv);
   const bool quick = opts.get_bool("quick");
 
-  mc::McSimWorkloadConfig wcfg;
+  mc::McWorkloadConfig wcfg;
   wcfg.data.n_nuclides = static_cast<std::size_t>(opts.get_int("nuclides", quick ? 24 : 68));
   wcfg.data.gridpoints_per_nuclide =
       static_cast<std::size_t>(opts.get_int("gridpoints", quick ? 500 : 2000));
@@ -33,30 +34,33 @@ int main(int argc, char** argv) try {
   wcfg.policy = mc::XsFlushPolicy::kSelective;
   const double crash_pct = opts.get_double("crash_pct", 10.0);
   const double flush_pct = opts.get_double("flush_pct", 0.01);
-  wcfg.flush_interval = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(wcfg.lookups) * flush_pct / 100.0));
+  wcfg.interval = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(static_cast<double>(wcfg.lookups) * flush_pct / 100.0));
   wcfg.cache_bytes = static_cast<std::size_t>(opts.get_int("cache_mb", 8)) << 20;
-  wcfg.rng_seed = 99;
+  wcfg.seed = 99;
   const std::uint64_t lookups = wcfg.lookups;
 
-  mc::McSimWorkload workload(wcfg);
+  mc::McWorkload workload(wcfg);
   core::print_banner("Fig. 12",
                      "XSBench tallies: no crash vs crash+selective flushing (every " +
                          core::Table::fmt(flush_pct, 2) + "% of lookups)");
 
   core::ScenarioConfig nocrash;
-  nocrash.mode = core::Mode::kAlgNvm;  // The simulated scheme fixes durability.
+  nocrash.mode = core::Mode::kAlgNvm;
   workload.tune_env(nocrash.mode, nocrash.env);
-  const core::ScenarioResult clean = core::run_scenario(workload, nocrash);
-  ADCC_CHECK(clean.crashes == 0, "unexpected crash");
+  // The tallies live in the run's NVM arena: read them while the runner that
+  // owns it is alive.
+  core::ScenarioRunner clean(workload, nocrash);
+  ADCC_CHECK(clean.run().crashes == 0, "unexpected crash");
   const mc::Tally ref = workload.tally();
 
   core::ScenarioConfig crashed = nocrash;
   crashed.crash.kind = core::CrashScenario::Kind::kAtPoint;
-  crashed.crash.point = mc::XsCrashConsistent::kPointLookupEnd;
+  crashed.crash.point = mc::McWorkload::kPointLookupEnd;
   crashed.crash.occurrence =
       static_cast<std::uint64_t>(static_cast<double>(lookups) * crash_pct / 100.0);
-  const core::ScenarioResult res = core::run_scenario(workload, crashed);
+  core::ScenarioRunner runner(workload, crashed);
+  const core::ScenarioResult res = runner.run();
   ADCC_CHECK(res.crashes == 1, "crash did not fire");
   const mc::Tally got = workload.tally();
 
@@ -69,9 +73,9 @@ int main(int argc, char** argv) try {
                    core::Table::fmt(pr[static_cast<std::size_t>(c)] - pg[static_cast<std::size_t>(c)], 2)});
   }
   table.print();
-  std::printf("\nrestart lookup: %llu (bounded loss: <= %zu lookups re-executed)\n",
-              static_cast<unsigned long long>(res.restart_unit - 1),
-              wcfg.flush_interval);
+  std::printf("\nrestart lookup: %llu (bounded loss: <= %llu lookups re-executed)\n",
+              static_cast<unsigned long long>((res.restart_unit - 1) * wcfg.interval),
+              static_cast<unsigned long long>(wcfg.interval));
   std::printf("max per-type gap: %.4f pp (paper: distributions agree; exact here)\n",
               mc::max_percentage_gap(ref, got, lookups));
   std::printf("tallies identical: %s\n", ref.counts == got.counts ? "YES" : "NO");

@@ -7,18 +7,18 @@
 // Expected shape: small classes (S, W) lose all 15 iterations because their
 // working set never leaves the cache; large classes (B, C) lose exactly 1.
 //
-// Ported onto ScenarioRunner: the cg-sim workload runs CgCrashConsistent under
-// the unified driver and the crash is the declarative plan
-// `point:cg:p_updated:<crash_iter>` — the same spelling `adccbench
-// --workload=cg-sim --crash=...` accepts.
+// The cg workload's alg-nvm engine runs under the crash emulator (cache_mb)
+// through ScenarioRunner, and the crash is the declarative plan
+// `point:cg:p_updated:<crash_iter>` — the same run as `adccbench --workload=cg
+// --mode=alg-nvm --cache_mb=8 --crash=...`. Times are normalized by the mean
+// pre-crash iteration.
 //
 // Flags: --quick (classes S,W,A only), --classes=S,W,A,B,C, --cache_mb=8,
 //        --iters=15, --crash_iter=15
 #include <cstdio>
 #include <sstream>
 
-#include "cg/cg_cc.hpp"
-#include "cg/cg_sim_workload.hpp"
+#include "cg/cg_workload.hpp"
 #include "common/check.hpp"
 #include "common/options.hpp"
 #include "core/report.hpp"
@@ -72,35 +72,33 @@ int main(int argc, char** argv) try {
   // The declarative plan: crash at the crash_iter-th hit of Fig. 2 line 10.
   core::CrashScenario crash;
   crash.kind = core::CrashScenario::Kind::kAtPoint;
-  crash.point = cg::CgCrashConsistent::kPointPUpdated;
+  crash.point = cg::CgWorkload::kPointPUpdated;
   crash.occurrence = crash_iter;
 
   for (const auto cls : classes) {
     const auto shape = linalg::shape_of(cls);
 
-    cg::CgSimWorkloadConfig wcfg;
+    cg::CgWorkloadConfig wcfg;
     wcfg.n = shape.n;
     wcfg.nz_per_row = shape.nz_per_row;
     wcfg.iters = iters;
     wcfg.cache_bytes = cache_mb << 20;
-    cg::CgSimWorkload workload(wcfg);
+    cg::CgWorkload workload(wcfg);
 
     core::ScenarioConfig cfg;
-    cfg.mode = core::Mode::kAlgNvm;  // The simulated scheme is algorithm-directed.
+    cfg.mode = core::Mode::kAlgNvm;
     cfg.crash = crash;
     workload.tune_env(cfg.mode, cfg.env);
     const core::ScenarioResult res = core::run_scenario(workload, cfg);
     ADCC_CHECK(res.crashes == 1, "crash did not fire");
 
     const auto& rb = res.recomputation;
-    const double unit = workload.cc().avg_iter_seconds();
     table.add_row({linalg::name_of(cls), std::to_string(shape.n),
                    std::to_string(workload.matrix().nnz()),
                    std::to_string(rb.units_redone()),
-                   core::Table::fmt(unit > 0 ? rb.detect_seconds / unit : 0, 2),
-                   core::Table::fmt(unit > 0 ? rb.resume_seconds / unit : 0, 2),
-                   core::Table::fmt(
-                       unit > 0 ? (rb.detect_seconds + rb.resume_seconds) / unit : 0, 2),
+                   core::Table::fmt(rb.detect_normalized(), 2),
+                   core::Table::fmt(rb.resume_normalized(), 2),
+                   core::Table::fmt(rb.detect_normalized() + rb.resume_normalized(), 2),
                    core::Table::fmt(rb.detect_seconds, 4),
                    core::Table::fmt(rb.resume_seconds, 4)});
   }

@@ -2,7 +2,7 @@
 # Pinned perf-tracking sweep decks, written to the repo root so the perf
 # trajectory is tracked in version control / CI from PR 3 onward:
 #
-#   BENCH_sweep.json        every non-sim workload x all seven modes,
+#   BENCH_sweep.json        every workload x all seven modes,
 #                           crash-free + step:2, CI-sized, median of 3 reps
 #   BENCH_ckpt_threads.json the durability-engine scaling deck: one >= 64 MB
 #                           CG checkpoint payload on ckpt-disk, swept over

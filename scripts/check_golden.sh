@@ -37,11 +37,11 @@ csv=(--no_timing --format=csv)
 # Fig. 3: NPB classes S/W/A, crash at line 10 of iteration 15, 8 MB LLC.
 for shape in "--n=1400 --nz=7" "--n=7000 --nz=8" "--n=14000 --nz=11"; do
   # shellcheck disable=SC2086  # $shape is two flags.
-  deck fig3_cg_recompute.csv adccbench --workload=cg-sim $shape --iters=15 --cache_mb=8 \
-    --crash=point:cg:p_updated:15 "${csv[@]}"
+  deck fig3_cg_recompute.csv adccbench --workload=cg --mode=alg-nvm $shape --iters=15 \
+    --cache_mb=8 --crash=point:cg:p_updated:15 "${csv[@]}"
 done
 # Fig. 7: crash at the end of multiplication / addition #4, rank 64, 8 MB LLC.
-deck fig7_mm_recompute.csv adccbench --workload=mm-sim \
+deck fig7_mm_recompute.csv adccbench --workload=mm --mode=alg-nvm --seed=7 \
   --sweep=n=384+512,crash=point:mm:loop1_end:4+point:mm:loop2_end:4 --rank=64 \
   --cache_mb=8 "${csv[@]}"
 deck fig10_xs_basic.txt fig10_xs_basic --quick

@@ -2,20 +2,22 @@
 # Deterministic crash-fuzz sweep: every workload x all seven modes x a range of
 # fuzz seeds. Each seed lands one mid-unit crash at a seeded random access
 # inside a seeded random work unit (see parse_crash's fuzz:SEED plan); the run
-# must recover and verify in every mode or adccbench exits non-zero. Non-sim
-# workloads run a second deck per seed under --ckpt_async=1 covering the
-# asynchronous-drain crash families (ckpt_drain / ckpt_stage), and a third
-# under --shards=4 covering the shard-scoped families (a fuzzed single-shard
-# kill and a coordinator kill mid-global-commit).
+# must recover and verify in every mode or adccbench exits non-zero. The same
+# crash families also run on the alg-* engines under the crash emulator
+# (--cache_mb=1, where only flushed or evicted lines survive), and further
+# decks per seed cover silent flips, --ckpt_async=1 (the asynchronous-drain
+# crash families ckpt_drain / ckpt_stage) and --shards=4 (the shard-scoped
+# families: a fuzzed single-shard kill and a coordinator kill mid-global-
+# commit).
 #
 #   scripts/fuzz.sh                         # build + 20 seeds, quick sizes
 #   scripts/fuzz.sh --seeds 5 --start 100   # seeds 100..104
 #   scripts/fuzz.sh --bin ./build/adccbench --no-build
 #   scripts/fuzz.sh --full                  # nightly sizes (no --quick)
-#   scripts/fuzz.sh --workloads cg,cg-sim,mm-sim,mc-sim   # widen to *-sim
+#   scripts/fuzz.sh --workloads cg,mm       # a subset of the workloads
 #
-# Each (workload, seed) pair is one adccbench sweep deck over mode=all, so the
-# whole seed range is a handful of processes. cwd-independent and fail-fast:
+# Each (workload, seed, family) is one adccbench sweep deck, so the whole seed
+# range is a handful of processes. cwd-independent and fail-fast:
 # the first failing sweep aborts the script with that sweep's exit code and a
 # pointer at the failing scenario.
 #
@@ -55,60 +57,55 @@ fi
 
 runs=0
 for workload in $WORKLOADS; do
-  # The *-sim workloads ignore the mode axis (the simulator fixes the
-  # durability scheme), so fuzzing them across all seven modes would run one
-  # scenario seven times.
   mode="all"
-  [[ "$workload" == *-sim ]] && mode="native"
   # Three crash families per seed, one in-process deck (cells of one shape
   # share a single fuzz probe): the classic mid-unit fuzz crash, the same
   # crash followed by a second fault inside the recovery (ckpt_restore fires
   # in checkpoint modes; elsewhere the armed tail is disarmed harmlessly),
   # and a crash mid-checkpoint-save (ckpt_chunk, checkpoint modes only —
-  # crash-free elsewhere, which must also stay green).
+  # crash-free elsewhere, which must also stay green). The second deck runs
+  # the same families on the alg-* engines under the crash emulator, where
+  # only flushed or evicted lines survive.
   for ((seed = START; seed < START + SEEDS; ++seed)); do
     crash="fuzz:$seed+fuzz:$seed^point:ckpt_restore:1+point:ckpt_chunk:$((seed % 7 + 1))"
-    echo "fuzz: workload=$workload seed=$seed"
+    for deck in "mode=$mode" "mode=alg-nvm+alg-nvm/dram,cache_mb=1"; do
+      echo "fuzz: workload=$workload seed=$seed $deck"
+      rc=0
+      "$BIN" --workload="$workload" --sweep="$deck,crash=$crash" \
+        --sweep_jobs="$JOBS" --no_baseline $QUICK >/dev/null || rc=$?
+      if [[ "$rc" -ne 0 ]]; then
+        echo "fuzz.sh: FAILED at workload=$workload seed=$seed (exit $rc); reproduce with:" >&2
+        echo "  $BIN --workload=$workload --sweep='$deck,crash=$crash' --no_baseline $QUICK" >&2
+        exit "$rc"
+      fi
+      runs=$((runs + 1))
+    done
+  done
+
+  # Silent-corruption deck (flip:SEED[:BITS]): each seed lands one seeded
+  # bit-flip WITHOUT raising, a multi-bit variant stresses the bit-position
+  # stream, and a flip^ckpt_chunk chain composes the silent head with a
+  # fail-stop tail killing the next checkpoint save. Every outcome the classifier knows — detected and
+  # corrected in place, detected and rolled back, honest silent miss — counts
+  # as ok; only a detected-and-rolled-back run that still fails verify (a
+  # broken recovery path) or an ERROR cell fails the deck.
+  for ((seed = START; seed < START + SEEDS; ++seed)); do
+    crash="flip:$seed+flip:$seed:$((seed % 3 + 2))+flip:$seed^point:ckpt_chunk:$((seed % 4 + 1))"
+    echo "fuzz: workload=$workload seed=$seed (flip)"
     rc=0
     "$BIN" --workload="$workload" --mode="$mode" --sweep="crash=$crash" \
       --sweep_jobs="$JOBS" --no_baseline $QUICK >/dev/null || rc=$?
     if [[ "$rc" -ne 0 ]]; then
-      echo "fuzz.sh: FAILED at workload=$workload seed=$seed (exit $rc); reproduce with:" >&2
+      echo "fuzz.sh: FAILED at workload=$workload seed=$seed flip deck (exit $rc); reproduce with:" >&2
       echo "  $BIN --workload=$workload --mode=$mode --sweep='crash=$crash' --no_baseline $QUICK" >&2
       exit "$rc"
     fi
     runs=$((runs + 1))
   done
 
-  # Silent-corruption deck (flip:SEED[:BITS], non-sim workloads — the *-sim
-  # adapters expose no corrupt() sites, so a flip would be a guaranteed
-  # no-op): each seed lands one seeded bit-flip WITHOUT raising, a multi-bit
-  # variant stresses the bit-position stream, and a flip^ckpt_chunk chain
-  # composes the silent head with a fail-stop tail killing the next
-  # checkpoint save. Every outcome the classifier knows — detected and
-  # corrected in place, detected and rolled back, honest silent miss — counts
-  # as ok; only a detected-and-rolled-back run that still fails verify (a
-  # broken recovery path) or an ERROR cell fails the deck.
-  if [[ "$workload" != *-sim ]]; then
-    for ((seed = START; seed < START + SEEDS; ++seed)); do
-      crash="flip:$seed+flip:$seed:$((seed % 3 + 2))+flip:$seed^point:ckpt_chunk:$((seed % 4 + 1))"
-      echo "fuzz: workload=$workload seed=$seed (flip)"
-      rc=0
-      "$BIN" --workload="$workload" --mode="$mode" --sweep="crash=$crash" \
-        --sweep_jobs="$JOBS" --no_baseline $QUICK >/dev/null || rc=$?
-      if [[ "$rc" -ne 0 ]]; then
-        echo "fuzz.sh: FAILED at workload=$workload seed=$seed flip deck (exit $rc); reproduce with:" >&2
-        echo "  $BIN --workload=$workload --mode=$mode --sweep='crash=$crash' --no_baseline $QUICK" >&2
-        exit "$rc"
-      fi
-      runs=$((runs + 1))
-    done
-  fi
-
-  # Asynchronous-checkpointing families (--ckpt_async=1; the *-sim workloads
-  # fix their own durability scheme and never reach the async engine, so they
-  # skip this deck): a mid-unit fuzz crash landing while a drain may be in
-  # flight (the abort-the-drain-then-classify-the-torn-slot path), a crash
+  # Asynchronous-checkpointing families (--ckpt_async=1): a mid-unit fuzz
+  # crash landing while a drain may be in flight (the
+  # abort-the-drain-then-classify-the-torn-slot path), a crash
   # inside the background drain itself (ckpt_drain — surfaces at the join),
   # a crash between stage and drain start (ckpt_stage — must leave the
   # previous checkpoint untouched), a crash inside the per-chunk codec pass
@@ -118,42 +115,40 @@ for workload in $WORKLOADS; do
   # a depth-2 staging ring, and dirty-chunk commit with its salvage-capable
   # restore. All sites are crash-free no-ops outside checkpoint modes, which
   # must also stay green.
-  if [[ "$workload" != *-sim ]]; then
-    for ((seed = START; seed < START + SEEDS; ++seed)); do
-      crash="fuzz:$seed+point:ckpt_drain:$((seed % 7 + 1))+point:ckpt_stage:$((seed % 5 + 1))+point:ckpt_compress:$((seed % 6 + 1))+point:ring_stage:$((seed % 3 + 1))"
-      echo "fuzz: workload=$workload seed=$seed (ckpt_async)"
-      rc=0
-      "$BIN" --workload="$workload" --mode="$mode" --ckpt_async=1 --ckpt_compress=lz \
-        --ckpt_async_depth=2 --ckpt_dirty_commit=1 --sweep="crash=$crash" \
-        --sweep_jobs="$JOBS" --no_baseline $QUICK >/dev/null || rc=$?
-      if [[ "$rc" -ne 0 ]]; then
-        echo "fuzz.sh: FAILED at workload=$workload seed=$seed ckpt_async=1 (exit $rc); reproduce with:" >&2
-        echo "  $BIN --workload=$workload --mode=$mode --ckpt_async=1 --ckpt_compress=lz --ckpt_async_depth=2 --ckpt_dirty_commit=1 --sweep='crash=$crash' --no_baseline $QUICK" >&2
-        exit "$rc"
-      fi
-      runs=$((runs + 1))
-    done
+  for ((seed = START; seed < START + SEEDS; ++seed)); do
+    crash="fuzz:$seed+point:ckpt_drain:$((seed % 7 + 1))+point:ckpt_stage:$((seed % 5 + 1))+point:ckpt_compress:$((seed % 6 + 1))+point:ring_stage:$((seed % 3 + 1))"
+    echo "fuzz: workload=$workload seed=$seed (ckpt_async)"
+    rc=0
+    "$BIN" --workload="$workload" --mode="$mode" --ckpt_async=1 --ckpt_compress=lz \
+      --ckpt_async_depth=2 --ckpt_dirty_commit=1 --sweep="crash=$crash" \
+      --sweep_jobs="$JOBS" --no_baseline $QUICK >/dev/null || rc=$?
+    if [[ "$rc" -ne 0 ]]; then
+      echo "fuzz.sh: FAILED at workload=$workload seed=$seed ckpt_async=1 (exit $rc); reproduce with:" >&2
+      echo "  $BIN --workload=$workload --mode=$mode --ckpt_async=1 --ckpt_compress=lz --ckpt_async_depth=2 --ckpt_dirty_commit=1 --sweep='crash=$crash' --no_baseline $QUICK" >&2
+      exit "$rc"
+    fi
+    runs=$((runs + 1))
+  done
 
-    # Multi-shard crash families under a 4-shard group: a seeded mid-unit
-    # fuzz crash scoped to shard 0 only (survivors keep computing, the victim
-    # restores its own slot and replays its delta) plus a coordinator kill at
-    # the global-commit point. Non-checkpoint modes fall back to the
-    # single-rank engine where the scopes degenerate to process scope — that
-    # degradation must stay green too.
-    for ((seed = START; seed < START + SEEDS; ++seed)); do
-      crash="shard:0:fuzz:$seed+coord:point:global_commit"
-      echo "fuzz: workload=$workload seed=$seed (shards=4)"
-      rc=0
-      "$BIN" --workload="$workload" --mode="$mode" --shards=4 --sweep="crash=$crash" \
-        --sweep_jobs="$JOBS" --no_baseline $QUICK >/dev/null || rc=$?
-      if [[ "$rc" -ne 0 ]]; then
-        echo "fuzz.sh: FAILED at workload=$workload seed=$seed shards=4 (exit $rc); reproduce with:" >&2
-        echo "  $BIN --workload=$workload --mode=$mode --shards=4 --sweep='crash=$crash' --no_baseline $QUICK" >&2
-        exit "$rc"
-      fi
-      runs=$((runs + 1))
-    done
-  fi
+  # Multi-shard crash families under a 4-shard group: a seeded mid-unit
+  # fuzz crash scoped to shard 0 only (survivors keep computing, the victim
+  # restores its own slot and replays its delta) plus a coordinator kill at
+  # the global-commit point. Non-checkpoint modes fall back to the
+  # single-rank engine where the scopes degenerate to process scope — that
+  # degradation must stay green too.
+  for ((seed = START; seed < START + SEEDS; ++seed)); do
+    crash="shard:0:fuzz:$seed+coord:point:global_commit"
+    echo "fuzz: workload=$workload seed=$seed (shards=4)"
+    rc=0
+    "$BIN" --workload="$workload" --mode="$mode" --shards=4 --sweep="crash=$crash" \
+      --sweep_jobs="$JOBS" --no_baseline $QUICK >/dev/null || rc=$?
+    if [[ "$rc" -ne 0 ]]; then
+      echo "fuzz.sh: FAILED at workload=$workload seed=$seed shards=4 (exit $rc); reproduce with:" >&2
+      echo "  $BIN --workload=$workload --mode=$mode --shards=4 --sweep='crash=$crash' --no_baseline $QUICK" >&2
+      exit "$rc"
+    fi
+    runs=$((runs + 1))
+  done
 done
 
-echo "fuzz OK ($runs sweeps, mode=all per non-sim workload)"
+echo "fuzz OK ($runs sweeps)"

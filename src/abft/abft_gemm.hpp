@@ -1,5 +1,5 @@
 // Rank-k ABFT matrix multiplication (paper Fig. 5) — the *original* algorithm
-// our crash-consistent variant (mm/mm_cc) extends.
+// the alg-* engine of mm/mm_workload extends.
 //
 // Computes Cf = Ac·Br by rank-k updates, verifying Cf's checksum relationship
 // at the top of every iteration and attempting single-error correction when a

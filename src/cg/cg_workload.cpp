@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "cg/cg_cc.hpp"
 #include "cg/cg_shard.hpp"
 #include "core/shard.hpp"
 #include "common/align.hpp"
@@ -41,6 +40,7 @@ CgWorkloadConfig cg_workload_config(const Options& opts) {
   cfg.nz_per_row = opts.get_size("nz", 15);
   cfg.iters = opts.get_size("iters", quick ? 10 : 15);
   cfg.matrix_seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
+  cfg.cache_bytes = opts.get_size("cache_mb", 0) << 20;
   return cfg;
 }
 
@@ -70,11 +70,13 @@ void CgWorkload::prepare(core::ModeEnv& env) {
   env_ = &env;
   done_ = 0;
   crashed_done_ = 0;
-  fault_.reset_counter();
+  fault_.bind(nullptr);  // Software-counted unless the alg engine emulates.
   // Drop any previous mode's checkpoint set: its backend reference dies with
   // the old env, and a stale async_pending flag must not leak into this run.
   ckpt_.reset();
   engine_ = core::durability_kind(env.mode);
+  ADCC_CHECK(cfg_.cache_bytes == 0 || engine_ == core::DurabilityKind::kAlgorithm,
+             "cache_mb: the crash emulator runs only under the alg-* modes");
 
   switch (engine_) {
     case core::DurabilityKind::kNone:
@@ -125,9 +127,22 @@ void CgWorkload::prepare(core::ModeEnv& env) {
       hr_ = env.region->allocate<double>(rows);
       hz_ = env.region->allocate<double>(rows);
       counter_ = env.region->allocate<std::int64_t>(kCacheLine / sizeof(std::int64_t));
+      if (cfg_.cache_bytes > 0) {
+        fault_.emulate({.size_bytes = cfg_.cache_bytes, .ways = cfg_.cache_ways});
+        // Registration order places the regions in the cache model.
+        fault_.track("cg.p", hp_);
+        fault_.track("cg.q", hq_);
+        fault_.track("cg.r", hr_);
+        fault_.track("cg.z", hz_);
+        fault_.track_input("cg.b", std::span<const double>(b_));
+        fault_.track_input("cg.A.values", a_.values());
+        fault_.track_input("cg.A.colidx", a_.col_idx());
+        fault_.track("cg.iter", counter_);
+      }
       alg_write_initial_rows();
       counter_[0] = 0;
-      env.region->persist(counter_.data(), sizeof(std::int64_t));
+      fault_.write(counter_.data(), sizeof(std::int64_t));
+      fault_.persist(*env.region, counter_.data(), sizeof(std::int64_t));
       break;
     }
   }
@@ -138,6 +153,41 @@ void CgWorkload::alg_write_initial_rows() {
   linalg::copy(b_, row(hr_, 1));
   linalg::zero(row(hz_, 1));
   alg_rho_ = linalg::dot(crow(hr_, 1), crow(hr_, 1));
+  fault_.write(row(hr_, 1));
+  fault_.write(row(hp_, 1));
+  fault_.write(row(hz_, 1));
+  fault_.read(std::span<const double>(b_));
+  fault_.read(crow(hr_, 1));
+}
+
+void CgWorkload::alg_announce_iteration(std::size_t i) {
+  // Each row is written once per iteration, so announcing the iteration's
+  // traffic after its kernels leaves the same dirty lines, evictions and
+  // durable image as announcing after every statement.
+  // q(i) ← A·p(i): the source row once, then per 512-row block the streamed
+  // CSR slices (the traffic that evicts old history rows) and the q rows.
+  constexpr std::size_t kBlock = 512;
+  const auto row_ptr = a_.row_ptr();
+  fault_.read(crow(hp_, i));
+  for (std::size_t r0 = 0; r0 < cfg_.n; r0 += kBlock) {
+    const std::size_t r1 = std::min(cfg_.n, r0 + kBlock);
+    const std::size_t k0 = row_ptr[r0];
+    fault_.read(a_.values().subspan(k0, row_ptr[r1] - k0));
+    fault_.read(a_.col_idx().subspan(k0, row_ptr[r1] - k0));
+    fault_.write(row(hq_, i).subspan(r0, r1 - r0));
+  }
+  fault_.read(crow(hp_, i));  // pᵀq
+  fault_.read(crow(hq_, i));
+  fault_.read(crow(hz_, i));  // z(i+1) ← z(i) + α·p(i)
+  fault_.read(crow(hp_, i));
+  fault_.write(row(hz_, i + 1));
+  fault_.read(crow(hr_, i));  // r(i+1) ← r(i) − α·q(i)
+  fault_.read(crow(hq_, i));
+  fault_.write(row(hr_, i + 1));
+  fault_.read(crow(hr_, i + 1));  // ρ
+  fault_.read(crow(hr_, i + 1));  // p(i+1) ← r(i+1) + β·p(i)
+  fault_.read(crow(hp_, i));
+  fault_.write(row(hp_, i + 1));
 }
 
 bool CgWorkload::run_step() {
@@ -169,8 +219,8 @@ bool CgWorkload::run_step() {
       fault_.corrupt("cg:p", std::span<double>(state_.p));
       fault_.corrupt("cg:r", std::span<double>(state_.r));
       fault_.corrupt("cg:z", std::span<double>(state_.z));
-      fault_.point(CgCrashConsistent::kPointPUpdated);
-      fault_.point(CgCrashConsistent::kPointIterEnd);
+      fault_.point(kPointPUpdated);
+      fault_.point(kPointIterEnd);
       break;
     case core::DurabilityKind::kTransaction: {
       pmemtx::Transaction tx(*log_);
@@ -198,11 +248,11 @@ bool CgWorkload::run_step() {
       fault_.corrupt("cg:p", tx_p_);
       fault_.corrupt("cg:r", tx_r_);
       fault_.corrupt("cg:z", tx_z_);
-      fault_.point(CgCrashConsistent::kPointPUpdated);
+      fault_.point(kPointPUpdated);
       // "iter_end" = end of compute, before the unit's durability action; no
       // sites may follow the commit (the cursor/durable image would run ahead
       // of a crash the runner then mis-attributes).
-      fault_.point(CgCrashConsistent::kPointIterEnd);
+      fault_.point(kPointIterEnd);
       tx_scalars_[0] = tx_rho_;
       tx_scalars_[1] = static_cast<double>(done_ + 1);
       tx.commit();
@@ -226,14 +276,15 @@ bool CgWorkload::run_step() {
       alg_rho_ = rho_new;
       linalg::xpay(crow(hr_, i + 1), beta, crow(hp_, i), row(hp_, i + 1));
       fault_.tick(3 * n);
+      if (fault_.emulated()) alg_announce_iteration(i);
       // Flip targets: the history rows this iteration wrote — exactly what
       // the Eq. 1/2 invariants cover, so the online check above catches the
       // corruption at the next unit's start (detect_lat = 1).
       fault_.corrupt("cg:p", row(hp_, i + 1));
       fault_.corrupt("cg:r", row(hr_, i + 1));
       fault_.corrupt("cg:z", row(hz_, i + 1));
-      fault_.point(CgCrashConsistent::kPointPUpdated);
-      fault_.point(CgCrashConsistent::kPointIterEnd);
+      fault_.point(kPointPUpdated);
+      fault_.point(kPointIterEnd);
       break;
     }
   }
@@ -254,7 +305,8 @@ void CgWorkload::make_durable() {
     case core::DurabilityKind::kAlgorithm:
       // The entire runtime durability cost: one cache line flushed per unit.
       counter_[0] = static_cast<std::int64_t>(done_);
-      env_->region->persist(counter_.data(), sizeof(std::int64_t));
+      fault_.write(counter_.data(), sizeof(std::int64_t));
+      fault_.persist(*env_->region, counter_.data(), sizeof(std::int64_t));
       break;
   }
 }
@@ -292,7 +344,10 @@ void CgWorkload::inject_crash() {
       tx_rho_ = 0.0;
       break;
     case core::DurabilityKind::kAlgorithm:
-      alg_rho_ = 0.0;  // History arrays and counter line are durable.
+      // History arrays and counter line live in the arena; emulated, it now
+      // holds only what NVM held.
+      alg_rho_ = 0.0;
+      fault_.power_fail();
       break;
   }
 }
@@ -384,6 +439,7 @@ core::WorkloadRecovery CgWorkload::recover() {
         done_ = 0;
       } else {
         alg_rho_ = linalg::dot(crow(hr_, done_ + 1), crow(hr_, done_ + 1));
+        fault_.read(crow(hr_, done_ + 1));
       }
       break;
     }
@@ -421,9 +477,12 @@ bool CgWorkload::verify() {
 ADCC_REGISTER_WORKLOAD(
     "cg", "NPB-style sparse CG solver (paper SIII-B, Figs. 2-4)",
     [](const Options& opts) -> std::unique_ptr<core::Workload> {
+      ADCC_CHECK(!opts.has("policy"), "policy: only the mc alg-* engines have a flush policy");
       const CgWorkloadConfig cfg = cg_workload_config(opts);
       const std::size_t shards = opts.get_size("shards", 1);
       if (shards > 1) {
+        ADCC_CHECK(cfg.cache_bytes == 0,
+                   "cache_mb: the crash emulator runs only under unsharded alg-* engines");
         return std::make_unique<core::ShardGroup>(
             std::make_unique<CgShardPlan>(cfg),
             core::ShardGroupConfig{shards, opts.get_bool("shard_stagger", false)},

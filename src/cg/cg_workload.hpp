@@ -10,6 +10,10 @@
 //                  durability action is flushing the iteration-counter line,
 //                  and recovery re-derives the restart point from the Eq. 1/2
 //                  invariants against the durable rows.
+// With cache_mb the alg-* engine runs under the crash emulator (the Fig. 3
+// experiments): the arena keeps only lines the counter flush or a cache
+// eviction persisted, so a crash loses the iterations whose rows were still
+// cache-resident. Without it the arena is host memory and keeps every store.
 #pragma once
 
 #include <memory>
@@ -35,14 +39,24 @@ struct CgWorkloadConfig {
   std::uint64_t rhs_seed = 43;
   double invariant_rel_tol = 1e-6;  ///< Eq. 1/2 detection tolerance.
   double verify_rel_tol = 1e-8;     ///< Solution-vs-reference tolerance.
+  /// > 0: the alg-* engines run under the crash emulator with an LRU cache of
+  /// this many bytes (--cache_mb); 0 keeps the arena in host memory.
+  std::size_t cache_bytes = 0;
+  std::size_t cache_ways = 16;      ///< Emulated cache associativity.
 };
 
-/// Builds the config from CLI options (--n, --nz, --iters, --quick).
+/// Builds the config from CLI options (--n, --nz, --iters, --cache_mb,
+/// --quick).
 CgWorkloadConfig cg_workload_config(const Options& opts);
 
 class CgWorkload final : public core::Workload {
  public:
   explicit CgWorkload(const CgWorkloadConfig& cfg);
+
+  /// Crash sites of every engine: Fig. 2 line 10 (p updated) and the end of
+  /// the iteration's compute, before its durability action.
+  static constexpr const char* kPointPUpdated = "cg:p_updated";
+  static constexpr const char* kPointIterEnd = "cg:iter_end";
 
   std::string name() const override { return "cg"; }
   std::size_t work_units() const override { return cfg_.iters; }
@@ -61,6 +75,8 @@ class CgWorkload final : public core::Workload {
   /// Current solution estimate (valid once the run completed).
   std::vector<double> solution() const;
 
+  const linalg::CsrMatrix& matrix() const { return a_; }
+
   /// pmem-tx: the undo log's counters (null before a pmem-tx prepare).
   const pmemtx::UndoLogStats* tx_log_stats() const { return log_ ? &log_->stats() : nullptr; }
 
@@ -72,6 +88,7 @@ class CgWorkload final : public core::Workload {
     return arr.subspan(r * cfg_.n, cfg_.n);
   }
   void alg_write_initial_rows();
+  void alg_announce_iteration(std::size_t i);
   bool alg_rows_consistent(std::size_t j) const;
 
   CgWorkloadConfig cfg_;
@@ -81,7 +98,7 @@ class CgWorkload final : public core::Workload {
 
   core::ModeEnv* env_ = nullptr;
   core::DurabilityKind engine_ = core::DurabilityKind::kNone;
-  core::FaultSurface fault_;      ///< Software-counted mid-unit crash surface.
+  core::FaultSurface fault_;      ///< Mid-unit crash surface (emulated: alg + cache_mb).
   std::size_t done_ = 0;
   std::size_t crashed_done_ = 0;  ///< units_done at the last inject_crash.
 

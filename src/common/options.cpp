@@ -105,6 +105,11 @@ Options& Options::set(std::string key, std::string value) {
   return *this;
 }
 
+Options& Options::erase(const std::string& key) {
+  kv_.erase(key);
+  return *this;
+}
+
 Options& Options::doc(std::string key, std::string help, std::string fallback) {
   docs_.push_back({std::move(key), std::move(help), std::move(fallback)});
   return *this;

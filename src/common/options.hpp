@@ -45,6 +45,10 @@ class Options {
   /// one deck cell's axis assignment onto the base CLI options. Chainable.
   Options& set(std::string key, std::string value);
 
+  /// Removes a key (a no-op when absent) — how the sweep engine drops the
+  /// keys a cell's native baseline run cannot use. Chainable.
+  Options& erase(const std::string& key);
+
   /// Registers a key for the generated --help output. Chainable.
   Options& doc(std::string key, std::string help, std::string fallback = "");
 

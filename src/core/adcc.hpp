@@ -2,18 +2,20 @@
 // in non-volatile memory for HPC (reproduction of Yang et al., CLUSTER 2017).
 //
 // Layered API:
-//   adcc::memsim     — crash emulator (cache model + dual-image regions)
+//   adcc::memsim     — crash emulator (cache model + dual-image regions); the
+//                      alg-* engines run under it with cache_mb, through
+//                      core::FaultSurface
 //   adcc::nvm        — flush primitives, NVM perf throttle, arenas, DRAM cache
 //   adcc::pmemtx     — undo-log transactions (PMEM-library baseline)
 //   adcc::checkpoint — disk/NVM/hetero checkpoint backends
 //   adcc::linalg     — CSR/dense kernels, SPD generator
 //   adcc::abft       — checksum encodings + ABFT GEMM
-//   adcc::cg         — CG solver, its seven-mode adapter, and the Fig. 2
-//                      crash-consistent solver under memsim
-//   adcc::mm         — ABFT-MM: seven-mode adapter and the Fig. 6 two-loop
-//                      algorithm under memsim
-//   adcc::mc         — XSBench-equivalent MC: seven-mode adapter and the
-//                      selective-flushing driver under memsim
+//   adcc::cg         — CG solver and its seven-mode adapter (Fig. 2 history
+//                      arrays in the alg-* engine)
+//   adcc::mm         — ABFT-MM: seven-mode adapter (Fig. 6 two-loop
+//                      algorithm in the alg-* engine)
+//   adcc::mc         — XSBench-equivalent MC: seven-mode adapter (basic or
+//                      selective flushing in the alg-* engine)
 //   adcc::core       — the seven evaluation modes, harness, reporting, and the
 //                      Workload/Scenario layer: core::Workload (polymorphic
 //                      workload interface), core::WorkloadRegistry (name →
@@ -27,7 +29,6 @@
 #include "abft/abft_gemm.hpp"
 #include "abft/checksum.hpp"
 #include "cg/cg.hpp"
-#include "cg/cg_cc.hpp"
 #include "cg/cg_workload.hpp"
 #include "checkpoint/backend.hpp"
 #include "checkpoint/checkpoint_set.hpp"
@@ -40,6 +41,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/timer.hpp"
+#include "core/fault.hpp"
 #include "core/harness.hpp"
 #include "core/modes.hpp"
 #include "core/registry.hpp"
@@ -54,14 +56,12 @@
 #include "mc/mc_ckpt.hpp"
 #include "mc/mc_workload.hpp"
 #include "mc/tally.hpp"
-#include "mc/xs_cc.hpp"
 #include "mc/xs_data.hpp"
 #include "mc/xs_kernel.hpp"
 #include "memsim/cache.hpp"
 #include "memsim/crash.hpp"
 #include "memsim/memsim.hpp"
 #include "memsim/tracked.hpp"
-#include "mm/mm_cc.hpp"
 #include "mm/mm_workload.hpp"
 #include "nvm/dram_cache.hpp"
 #include "nvm/epoch.hpp"

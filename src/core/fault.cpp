@@ -1,7 +1,11 @@
 #include "core/fault.hpp"
 
+#include <cstring>
+
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "memsim/memsim.hpp"
+#include "nvm/nvm_region.hpp"
 
 namespace adcc::core {
 
@@ -16,14 +20,72 @@ constexpr std::uint64_t kFlipBitSalt = 0xB17F'11B5'EED0'3A1DULL;
 constexpr std::uint64_t kFlipSiteSpread = 4;
 }  // namespace
 
+FaultSurface::FaultSurface() = default;
+FaultSurface::~FaultSurface() = default;
+
 void FaultSurface::bind(memsim::MemorySimulator* sim) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (owned_ && owned_.get() != sim) {
+    owned_.reset();
+    inputs_.clear();
+  }
   sim_ = sim;
   scheduler_.disarm();
   accesses_ = 0;
   flip_armed_.store(false, std::memory_order_relaxed);
   flip_fired_.store(false, std::memory_order_relaxed);
   flip_stats_ = {};
+}
+
+void FaultSurface::emulate(const memsim::CacheConfig& cache) {
+  auto sim = std::make_unique<memsim::MemorySimulator>(cache);
+  bind(sim.get());  // Drops the previous emulator and its inputs.
+  owned_ = std::move(sim);
+}
+
+void FaultSurface::track_bytes(std::string name, void* data, std::size_t bytes) {
+  std::memset(data, 0, bytes);
+  sim_->register_region(std::move(name), data, bytes);
+}
+
+void FaultSurface::track_input_bytes(std::string name, const void* data, std::size_t bytes) {
+  Input in;
+  in.base = static_cast<const std::byte*>(data);
+  in.bytes = bytes;
+  in.standin = AlignedBuffer(bytes);
+  sim_->register_region(std::move(name), in.standin.data(), bytes, /*read_only=*/true);
+  inputs_.push_back(std::move(in));
+}
+
+void FaultSurface::announce(const void* p, std::size_t bytes, bool is_write) {
+  const auto* b = static_cast<const std::byte*>(p);
+  for (const Input& in : inputs_) {
+    if (b >= in.base && b < in.base + in.bytes) {
+      ADCC_CHECK(!is_write, "read-only inputs are never written");
+      sim_->on_read(in.standin.data() + (b - in.base), bytes);
+      return;
+    }
+  }
+  if (is_write) {
+    sim_->on_write(p, bytes);
+  } else {
+    sim_->on_read(p, bytes);
+  }
+}
+
+void FaultSurface::persist(nvm::NvmRegion& region, const void* p, std::size_t bytes) {
+  region.persist(p, bytes);
+  if (sim_ != nullptr) {
+    sim_->clflush(p, bytes);
+    sim_->sfence();
+  }
+}
+
+void FaultSurface::power_fail() {
+  if (sim_ == nullptr) return;
+  if (!sim_->crashed()) sim_->crash();
+  sim_->restore_all();
+  sim_->reset_after_crash();
 }
 
 void FaultSurface::arm_at_access(std::uint64_t n) {
@@ -105,7 +167,10 @@ void FaultSurface::tick(std::uint64_t accesses) {
 }
 
 void FaultSurface::point(const char* name) {
-  if (sim_ != nullptr) return;  // The workload calls sim->crash_point itself.
+  if (sim_ != nullptr) {
+    sim_->crash_point(name);
+    return;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (scheduler_.on_point(name)) fire(name, accesses_);
 }

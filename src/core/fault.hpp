@@ -5,16 +5,26 @@
 //
 // Two backings share one arming interface:
 //
-//  * simulator-backed — a workload that executes under a memsim::MemorySimulator
-//    (the *CrashConsistent classes) binds its simulator; arming forwards to
-//    sim->scheduler() and the simulator's own per-line access accounting raises
-//    memsim::CrashException mid-kernel exactly as it always has.
-//
 //  * software-counted — a native-speed workload adapter owns an unbound
 //    surface and instruments its run_step engines with tick(accesses) /
 //    point(name) calls at sub-unit sites. The surface drives a private
-//    CrashScheduler and throws the same memsim::CrashException when the armed
-//    trigger fires, so ScenarioRunner handles both backings identically.
+//    CrashScheduler and throws memsim::CrashException when the armed trigger
+//    fires.
+//
+//  * emulated — an algorithm-directed engine run with `cache_mb` calls
+//    emulate(): the surface then owns a memsim::MemorySimulator (the paper's
+//    crash emulator, the persistence-state model of Yat, Lantz et al., USENIX
+//    ATC'14) and the same engine code drives it. The engine registers its
+//    NVM-arena arrays (track) and read-only inputs (track_input), announces
+//    the ranges each statement read and wrote (read/write) after the kernel
+//    call that touched them, routes its persists through persist(), and its
+//    point() sites forward to the simulator's crash points. Arming forwards to
+//    the simulator's scheduler, whose line-granular access accounting raises
+//    the same memsim::CrashException, so ScenarioRunner handles both backings
+//    identically. At the crash the engine's inject_crash() calls power_fail(),
+//    which copies the durable image over the live arena: recover() then reads
+//    only what NVM held (flushed or evicted lines). Unemulated, every
+//    announcement is one null-pointer test.
 //
 // Triggers are one-shot: the surface disarms itself as the exception is thrown
 // (mirroring MemorySimulator::crash + reset_after_crash), so recovery's
@@ -37,15 +47,23 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "common/align.hpp"
+#include "memsim/cache.hpp"
 #include "memsim/crash.hpp"
 
 namespace adcc::memsim {
 class MemorySimulator;
+}
+
+namespace adcc::nvm {
+class NvmRegion;
 }
 
 namespace adcc::core {
@@ -93,11 +111,70 @@ struct FlipStats {
 /// and the async drain thread.
 class FaultSurface {
  public:
-  /// Binds to (or, with nullptr, unbinds from) an external simulator. While
-  /// bound, arming forwards to sim->scheduler() and tick/point are no-ops —
-  /// the simulator already announces every access itself.
+  FaultSurface();
+  ~FaultSurface();
+
+  /// Binds to (or, with nullptr, unbinds from) a simulator, dropping any
+  /// emulator the surface owned. While bound, arming forwards to
+  /// sim->scheduler(), tick() is a no-op (the simulator counts line accesses
+  /// itself) and point() forwards to sim->crash_point().
   void bind(memsim::MemorySimulator* sim);
   memsim::MemorySimulator* sim() const { return sim_; }
+
+  // ---- Crash emulation (algorithm-directed engines under cache_mb) --------
+
+  /// Starts a fresh crash emulator with an LRU cache of `cache`, owned by the
+  /// surface, and binds it. Regions registered with an earlier emulator are
+  /// forgotten with it.
+  void emulate(const memsim::CacheConfig& cache);
+
+  /// True while bound to a simulator.
+  bool emulated() const { return sim_ != nullptr; }
+
+  /// Registers a cache-line aligned NVM-arena array with the emulator, zeroed
+  /// first so the durable image starts empty. Registration order places the
+  /// regions in the cache model. No-op unless emulated.
+  template <typename T>
+  void track(std::string name, std::span<T> data) {
+    if (sim_ != nullptr) track_bytes(std::move(name), data.data(), data.size_bytes());
+  }
+
+  /// Registers a read-only input (any alignment) with the emulator through an
+  /// aligned stand-in its announcements are redirected to, so the model sees
+  /// the input's lines at the same offsets wherever it lives. No-op unless
+  /// emulated.
+  template <typename T>
+  void track_input(std::string name, std::span<const T> data) {
+    if (sim_ != nullptr) track_input_bytes(std::move(name), data.data(), data.size_bytes());
+  }
+
+  /// Announces that the last kernel call read / wrote [p, p + bytes) of a
+  /// tracked region; throws memsim::CrashException when an armed access
+  /// trigger fires inside the range. No-ops unless emulated.
+  void read(const void* p, std::size_t bytes) {
+    if (sim_ != nullptr) announce(p, bytes, /*is_write=*/false);
+  }
+  void write(const void* p, std::size_t bytes) {
+    if (sim_ != nullptr) announce(p, bytes, /*is_write=*/true);
+  }
+  template <typename T>
+  void read(std::span<T> data) {
+    read(data.data(), data.size_bytes());
+  }
+  template <typename T>
+  void write(std::span<T> data) {
+    write(data.data(), data.size_bytes());
+  }
+
+  /// Persists [p, p + bytes) of `region` (flush + fence, charged to its perf
+  /// model) and, when emulated, CLFLUSHes the same lines into the durable
+  /// image.
+  void persist(nvm::NvmRegion& region, const void* p, std::size_t bytes);
+
+  /// The emulated power failure: discards the cache (unless a trigger already
+  /// did), copies every tracked region's durable image over its live bytes,
+  /// and readies the emulator for the recovery run. No-op unless emulated.
+  void power_fail();
 
   // ---- Arming (ScenarioRunner side) ---------------------------------------
 
@@ -154,7 +231,8 @@ class FaultSurface {
   void tick(std::uint64_t accesses);
 
   /// Names a program point (the paper's crash-after-statement sites); throws
-  /// memsim::CrashException at the armed occurrence. No-op while bound.
+  /// memsim::CrashException at the armed occurrence. While bound it forwards
+  /// to the simulator's crash_point, which crashes the cache as it throws.
   void point(const char* name);
 
   /// Offers `bytes` of tracked workload state as a silent-corruption target.
@@ -172,8 +250,20 @@ class FaultSurface {
 
  private:
   [[noreturn]] void fire(const std::string& at, std::uint64_t accesses);
+  void track_bytes(std::string name, void* data, std::size_t bytes);
+  void track_input_bytes(std::string name, const void* data, std::size_t bytes);
+  void announce(const void* p, std::size_t bytes, bool is_write);
 
   memsim::MemorySimulator* sim_ = nullptr;
+  /// The emulator emulate() started (sim_ points at it), if any.
+  std::unique_ptr<memsim::MemorySimulator> owned_;
+  /// A read-only input and the aligned stand-in its announcements hit.
+  struct Input {
+    const std::byte* base = nullptr;
+    std::size_t bytes = 0;
+    AlignedBuffer standin;
+  };
+  std::vector<Input> inputs_;
   /// Guards scheduler_ + accesses_ + flip state against the drain thread's
   /// point() calls racing the workload thread's tick()/point()/corrupt()
   /// calls (async checkpointing).

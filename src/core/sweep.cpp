@@ -77,11 +77,7 @@ bool expand_string_token(std::string_view key, std::string_view tok,
   if (key == "workload") {
     auto& registry = WorkloadRegistry::instance();
     if (token == "all") {
-      // The *-sim workloads ignore the mode axis (the simulator fixes the
-      // durability scheme), so `all` excludes them — sweep them by name.
-      for (const auto& name : registry.names()) {
-        if (!name.ends_with("-sim")) out.push_back(name);
-      }
+      for (const auto& name : registry.names()) out.push_back(name);
       return true;
     }
     if (!registry.contains(token)) {
@@ -125,8 +121,8 @@ bool expand_string_token(std::string_view key, std::string_view tok,
     return true;
   }
   // policy
-  if (token != "basic" && token != "selective" && token != "every") {
-    return fail(error, "axis 'policy': want basic | selective | every, got '" + token + "'");
+  if (token != "basic" && token != "selective") {
+    return fail(error, "axis 'policy': want basic | selective, got '" + token + "'");
   }
   out.push_back(token);
   return true;
@@ -415,9 +411,9 @@ ScenarioConfig cell_config(const Workload& workload, Mode mode, const CrashScena
 }
 
 /// The baseline is a function of everything except the durability-only axes:
-/// mode and crash are forced to native/none in the baseline run, policy only
-/// selects a flush scheme the native run never executes, and the
-/// checkpoint-engine knobs (threads/chunking/async, the disk device model)
+/// mode and crash are forced to native/none in the baseline run, policy and
+/// cache_mb (dropped from its options) only configure the alg-* engines the
+/// native run never executes, and the checkpoint-engine knobs (threads/chunking/async, the disk device model)
 /// configure a backend the native run never builds. Cells differing only in
 /// those share one baseline — which also keeps self-relative gates (e.g. the
 /// ckpt_async overhead ratio) free of native-measurement noise between cells.
@@ -431,8 +427,8 @@ std::string baseline_key(const std::string& workload,
                          const std::vector<std::pair<std::string, std::string>>& assignment) {
   std::string key = workload;
   for (const auto& [k, v] : assignment) {
-    if (k == "mode" || k == "crash" || k == "policy" || k == "ckpt_threads" ||
-        k == "ckpt_chunk_kb" || k == "ckpt_async" || k == "ckpt_compress" ||
+    if (k == "mode" || k == "crash" || k == "policy" || k == "cache_mb" ||
+        k == "ckpt_threads" || k == "ckpt_chunk_kb" || k == "ckpt_async" || k == "ckpt_compress" ||
         k == "ckpt_async_depth" || k == "ckpt_dirty_commit" || k == "disk_mbps" ||
         k == "shards" || k == "shard_stagger" || k == "backend" || k == "threads") {
       continue;
@@ -510,7 +506,7 @@ SweepCellResult run_cell(const SweepSpec& spec, const SweepConfig& cfg, std::siz
     if (want_baseline && !self_baseline) {
       cell.native_seconds = baselines.get_or_compute(shape, [&] {
         Options bopts = opts;
-        bopts.set("shards", "1");
+        bopts.set("shards", "1").erase("cache_mb").erase("policy");
         const auto native = registry.create(cell.workload, bopts);
         ScenarioConfig nc = cell_config(*native, Mode::kNative, {}, bopts, scratch);
         nc.verify = false;

@@ -8,7 +8,6 @@
 #include "core/shard.hpp"
 #include "core/telemetry.hpp"
 #include "mc/mc_shard.hpp"
-#include "mc/xs_cc.hpp"
 
 namespace adcc::mc {
 
@@ -35,6 +34,13 @@ McWorkloadConfig mc_workload_config(const Options& opts) {
   cfg.interval = opts.get_size(
       "interval", std::max<std::uint64_t>(1, cfg.lookups / (quick ? 200 : 10'000)));
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 5));
+  if (opts.has("policy")) {
+    const std::string policy = opts.get("policy", "");
+    ADCC_CHECK(policy == "basic" || policy == "selective",
+               "policy: want basic | selective (every lookup is selective with interval=1)");
+    cfg.policy = policy == "basic" ? XsFlushPolicy::kBasicIdea : XsFlushPolicy::kSelective;
+  }
+  cfg.cache_bytes = opts.get_size("cache_mb", 0) << 20;
   return cfg;
 }
 
@@ -54,15 +60,21 @@ void McWorkload::prepare(core::ModeEnv& env) {
   env_ = &env;
   done_ = 0;
   crashed_done_ = 0;
-  macro_.fill(0.0);
-  counters_.fill(0);
+  dram_macro_.fill(0.0);
+  dram_counters_.fill(0);
+  macro_ = dram_macro_;
+  counters_ = dram_counters_;
   durable_units_ = 0;
   scratch_index_ = 0;
-  fault_.reset_counter();
+  fault_.bind(nullptr);  // Software-counted unless the alg engine emulates.
   // Drop any previous mode's checkpoint set: its backend reference dies with
   // the old env, and a stale async_pending flag must not leak into this run.
   ckpt_.reset();
   engine_ = core::durability_kind(env.mode);
+  ADCC_CHECK(cfg_.cache_bytes == 0 || engine_ == core::DurabilityKind::kAlgorithm,
+             "cache_mb: the crash emulator runs only under the alg-* modes");
+  ADCC_CHECK(!cfg_.policy || engine_ == core::DurabilityKind::kAlgorithm,
+             "policy: only the mc alg-* engines have a flush policy");
 
   switch (engine_) {
     case core::DurabilityKind::kNone:
@@ -71,8 +83,8 @@ void McWorkload::prepare(core::ModeEnv& env) {
       ADCC_CHECK(env.backend != nullptr, "checkpoint modes need a backend");
       ckpt_ = std::make_unique<checkpoint::CheckpointSet>(
           *env.backend, [this](const char* p) { fault_.point(p); });
-      ckpt_->add("macro_xs", macro_.data(), sizeof(macro_));
-      ckpt_->add("counters", counters_.data(), sizeof(counters_));
+      ckpt_->add("macro_xs", macro_.data(), macro_.size_bytes());
+      ckpt_->add("counters", counters_.data(), counters_.size_bytes());
       ckpt_->add("units", &durable_units_, sizeof(durable_units_));
       break;
     case core::DurabilityKind::kTransaction:
@@ -91,17 +103,77 @@ void McWorkload::prepare(core::ModeEnv& env) {
       break;
     case core::DurabilityKind::kAlgorithm:
       ADCC_CHECK(env.region != nullptr, "algorithm modes need an NVM arena");
+      macro_ = env.region->allocate<double>(kChannels);
+      counters_ = env.region->allocate<std::uint64_t>(kChannels);
       pmacro_ = env.region->allocate<double>(kChannels);
       pcounters_ = env.region->allocate<std::uint64_t>(kChannels);
       punits_ = env.region->allocate<std::uint64_t>(kCacheLine / sizeof(std::uint64_t));
-      std::memset(pmacro_.data(), 0, pmacro_.size_bytes());
-      std::memset(pcounters_.data(), 0, pcounters_.size_bytes());
-      punits_[0] = 0;
-      env.region->persist(pmacro_.data(), pmacro_.size_bytes());
-      env.region->persist(pcounters_.data(), pcounters_.size_bytes());
-      env.region->persist(punits_.data(), sizeof(std::uint64_t));
+      if (cfg_.cache_bytes > 0) {
+        fault_.emulate({.size_bytes = cfg_.cache_bytes, .ways = cfg_.cache_ways});
+        // Registration order places the regions in the cache model.
+        fault_.track_input("xs.unionized", std::span<const double>(data_.unionized_energy()));
+        fault_.track_input("xs.index_grid", std::span<const std::int32_t>(data_.index_grid()));
+        fault_.track_input("xs.nuclide_grids",
+                           std::span<const NuclideGridPoint>(data_.nuclide_grids()));
+        fault_.track("xs.macro_xs", macro_);
+        fault_.track("xs.counters", counters_);
+        fault_.track("xs.macro_xs.snap", pmacro_);
+        fault_.track("xs.counters.snap", pcounters_);
+        fault_.track("xs.progress", punits_);
+      }
+      std::fill(macro_.begin(), macro_.end(), 0.0);
+      std::fill(counters_.begin(), counters_.end(), 0);
+      alg_publish();  // The zero boundary state.
       break;
   }
+}
+
+void McWorkload::alg_publish() {
+  // Fig. 11 line 9 (selective): macro_xs_vector and the five counters to
+  // their boundary snapshot lines, flushed with the progress line — three
+  // cache lines per unit. The basic idea flushes the progress line alone.
+  // Every write is announced before any flush, so an emulated access crash
+  // never leaves a half-published boundary in NVM.
+  nvm::NvmRegion& region = *env_->region;
+  if (selective()) {
+    std::copy(macro_.begin(), macro_.end(), pmacro_.begin());
+    std::copy(counters_.begin(), counters_.end(), pcounters_.begin());
+    fault_.write(pmacro_);
+    fault_.write(pcounters_);
+  }
+  punits_[0] = done_;
+  fault_.write(punits_.data(), sizeof(std::uint64_t));
+  if (selective()) {
+    fault_.persist(region, pmacro_.data(), pmacro_.size_bytes());
+    fault_.persist(region, pcounters_.data(), pcounters_.size_bytes());
+  }
+  fault_.persist(region, punits_.data(), sizeof(std::uint64_t));
+}
+
+void McWorkload::alg_announce_lookup(std::uint64_t i) {
+  // Lookup i's traffic, replayed after the kernel ran it: the grid-search
+  // probes, each nuclide's index-grid cell and gridpoint pair, the
+  // macro_xs_vector accumulate and the one counter the tally selected.
+  const LookupSample s = sample_lookup(rng_, i, data_);
+  probes_.clear();
+  const std::size_t u = grid_search(data_.unionized_energy(), s.energy, &probes_);
+  for (const std::size_t p : probes_) fault_.read(&data_.unionized_energy()[p], sizeof(double));
+  const std::size_t nn = data_.config().n_nuclides;
+  const std::size_t gp = data_.config().gridpoints_per_nuclide;
+  for (const auto& [nuc, density] : data_.material(s.material)) {
+    (void)density;
+    const std::size_t cell = u * nn + static_cast<std::size_t>(nuc);
+    fault_.read(&data_.index_grid()[cell], sizeof(std::int32_t));
+    const std::size_t pos = static_cast<std::size_t>(nuc) * gp +
+                            static_cast<std::size_t>(data_.index_grid()[cell]);
+    fault_.read(&data_.nuclide_grids()[pos], 2 * sizeof(NuclideGridPoint));
+  }
+  fault_.read(macro_);
+  fault_.write(macro_);
+  const auto type =
+      static_cast<std::size_t>(tally_select(macro_.data(), rng_.uniform(i, /*lane=*/2)));
+  fault_.read(&counters_[type], sizeof(std::uint64_t));
+  fault_.write(&counters_[type], sizeof(std::uint64_t));
 }
 
 bool McWorkload::run_step() {
@@ -115,14 +187,15 @@ bool McWorkload::run_step() {
   const core::StageTimer timer("kernel/xs");
   for (std::uint64_t i = begin; i < end; ++i) {
     run_xs_range(data_, rng_, i, i + 1, macro_.data(), counters_.data(), &scratch_index_);
+    if (fault_.emulated()) alg_announce_lookup(i);
     fault_.tick(kLookupAccessEstimate);
-    fault_.point(XsCrashConsistent::kPointLookupEnd);
+    fault_.point(kPointLookupEnd);
   }
   // Silent-corruption targets: the tally counters (guarded by the sum
   // invariant make_durable checks before publishing) and the macro-XS
   // accumulator (no invariant covers it — a flip there is an honest miss).
-  fault_.corrupt("mc:counters", counters_.data(), sizeof(counters_));
-  fault_.corrupt("mc:macro", macro_.data(), sizeof(macro_));
+  fault_.corrupt("mc:counters", counters_);
+  fault_.corrupt("mc:macro", macro_);
   ++done_;
   return true;
 }
@@ -166,15 +239,7 @@ void McWorkload::make_durable() {
       break;
     }
     case core::DurabilityKind::kAlgorithm:
-      // Fig. 11 line 9: publish macro_xs_vector, the five counters and the
-      // progress counter to their boundary snapshot lines and flush — three
-      // cache lines per interval.
-      std::copy(macro_.begin(), macro_.end(), pmacro_.begin());
-      std::copy(counters_.begin(), counters_.end(), pcounters_.begin());
-      punits_[0] = done_;
-      env_->region->persist(pmacro_.data(), pmacro_.size_bytes());
-      env_->region->persist(pcounters_.data(), pcounters_.size_bytes());
-      env_->region->persist(punits_.data(), sizeof(std::uint64_t));
+      alg_publish();
       break;
   }
 }
@@ -189,14 +254,16 @@ bool McWorkload::durability_pending() const { return ckpt_ && ckpt_->async_pendi
 
 void McWorkload::inject_crash() {
   crashed_done_ = done_;
-  // The DRAM working copy dies with the power in every mode; an in-flight
-  // checkpoint drain is cut off first, and the durable snapshot (checkpoint /
-  // heap / arena) is all recovery may read.
+  // An in-flight checkpoint drain is cut off first; the DRAM working copy
+  // dies with the power, and the durable snapshot (checkpoint / heap / arena)
+  // is all recovery may read. Under alg-* the working copy is arena memory:
+  // it keeps every store, or emulated only what NVM held.
   if (ckpt_) ckpt_->abort_async();
   if (env_ != nullptr && env_->dram) env_->dram->discard();
-  macro_.fill(0.0);
-  counters_.fill(0);
+  dram_macro_.fill(0.0);
+  dram_counters_.fill(0);
   durable_units_ = 0;
+  fault_.power_fail();
 }
 
 core::WorkloadRecovery McWorkload::recover() {
@@ -225,8 +292,14 @@ core::WorkloadRecovery McWorkload::recover() {
       done_ = static_cast<std::size_t>(punits_[0]);
       break;
     case core::DurabilityKind::kAlgorithm:
-      std::copy(pmacro_.begin(), pmacro_.end(), macro_.begin());
-      std::copy(pcounters_.begin(), pcounters_.end(), counters_.begin());
+      // Selective restarts from the boundary snapshot; the basic idea keeps
+      // the working tallies the arena held.
+      if (selective()) {
+        std::copy(pmacro_.begin(), pmacro_.end(), macro_.begin());
+        std::copy(pcounters_.begin(), pcounters_.end(), counters_.begin());
+        fault_.write(macro_);
+        fault_.write(counters_);
+      }
       done_ = static_cast<std::size_t>(punits_[0]);
       break;
   }
@@ -257,6 +330,9 @@ ADCC_REGISTER_WORKLOAD(
       const McWorkloadConfig cfg = mc_workload_config(opts);
       const std::size_t shards = opts.get_size("shards", 1);
       if (shards > 1) {
+        ADCC_CHECK(cfg.cache_bytes == 0 && !cfg.policy,
+                   "cache_mb / policy: the crash emulator and flush policies run only "
+                   "under unsharded alg-* engines");
         return std::make_unique<core::ShardGroup>(
             std::make_unique<McShardPlan>(cfg),
             core::ShardGroupConfig{shards, opts.get_bool("shard_stagger", false)},

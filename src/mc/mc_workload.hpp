@@ -4,20 +4,30 @@
 // every 0.01 % of lookups). The restart state is the paper's trio —
 // macro_xs_vector, the five tally counters, and the progress counter — made
 // durable per unit by the mode's mechanism: nothing (native), a checkpoint
-// (ckpt-*), an undo-log transaction (pmem-tx), or three flushed cache lines
-// (alg-*, Fig. 11 line 9). Lookups accumulate into the volatile working copy;
-// make_durable publishes it to the mode's durable snapshot, so a mid-unit
-// crash (FaultSurface sites after every lookup) can never leak a partial
-// interval into the restart state — the same boundary-snapshot discipline
-// XsCrashConsistent uses under the simulator. Lookup inputs are counter-based
-// RNG draws, so crashed and crash-free runs are exactly comparable — verify()
-// checks the final tallies against a no-crash native reference bit-for-bit.
+// (ckpt-*), an undo-log transaction (pmem-tx), or flushed cache lines
+// (alg-*). Lookups accumulate into the working copy (DRAM, or the NVM arena
+// under alg-*); make_durable publishes it to the mode's durable boundary
+// snapshot, so a mid-unit crash (FaultSurface sites after every lookup) can
+// never leak a partial interval into the restart state. Lookup inputs are
+// counter-based RNG draws, so crashed and crash-free runs are exactly
+// comparable — verify() checks the final tallies against a no-crash native
+// reference bit-for-bit.
+//
+// The alg-* engines take a flush policy (--policy):
+//   selective — Fig. 11: per unit, publish macro_xs_vector and the counters to
+//               their snapshot lines and flush them with the progress line;
+//               recovery restarts from the snapshot, losing at most one unit.
+//   basic     — Fig. 9's "basic idea": flush only the progress line and trust
+//               MC's statistics; recovery keeps whatever working tallies the
+//               arena held. Under the crash emulator (--cache_mb) those are
+//               the stale lines NVM kept, so the tallies diverge (Fig. 10).
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "checkpoint/checkpoint_set.hpp"
 #include "common/options.hpp"
@@ -29,18 +39,33 @@
 
 namespace adcc::mc {
 
+/// The alg-* engines' durability scheme (see the file comment).
+enum class XsFlushPolicy { kBasicIdea, kSelective };
+
 struct McWorkloadConfig {
   XsConfig data;
   std::uint64_t lookups = 100'000;
   std::uint64_t interval = 10;  ///< Lookups per durability unit.
   std::uint64_t seed = 5;
+  /// alg-* flush policy (--policy); unset means selective, and a set policy
+  /// is rejected outside the alg-* modes.
+  std::optional<XsFlushPolicy> policy;
+  /// > 0: the alg-* engines run under the crash emulator with an LRU cache of
+  /// this many bytes (--cache_mb); 0 keeps the arena in host memory.
+  std::size_t cache_bytes = 0;
+  std::size_t cache_ways = 16;  ///< Emulated cache associativity.
 };
 
+/// Builds the config from CLI options (--lookups, --interval, --nuclides,
+/// --gridpoints, --seed, --policy, --cache_mb, --quick).
 McWorkloadConfig mc_workload_config(const Options& opts);
 
 class McWorkload final : public core::Workload {
  public:
   explicit McWorkload(const McWorkloadConfig& cfg);
+
+  /// Crash site after every lookup.
+  static constexpr const char* kPointLookupEnd = "xs:lookup_end";
 
   std::string name() const override { return "mc"; }
   std::size_t work_units() const override { return units_; }
@@ -56,10 +81,16 @@ class McWorkload final : public core::Workload {
   void tune_env(core::Mode mode, core::ModeEnvConfig& cfg) const override;
   core::FaultSurface* fault() override { return &fault_; }
 
-  /// Final tallies; valid once the run completed.
+  /// Final tallies; valid once the run completed (alg-*: while the run's
+  /// ModeEnv, whose arena holds them, lives).
   Tally tally() const;
 
  private:
+  bool selective() const { return cfg_.policy.value_or(XsFlushPolicy::kSelective) ==
+                                  XsFlushPolicy::kSelective; }
+  void alg_publish();
+  void alg_announce_lookup(std::uint64_t i);
+
   McWorkloadConfig cfg_;
   XsDataHost data_;
   CounterRng rng_;
@@ -68,14 +99,18 @@ class McWorkload final : public core::Workload {
 
   core::ModeEnv* env_ = nullptr;
   core::DurabilityKind engine_ = core::DurabilityKind::kNone;
-  core::FaultSurface fault_;  ///< Software-counted mid-unit crash surface.
+  core::FaultSurface fault_;  ///< Mid-unit crash surface (emulated: alg + cache_mb).
   std::size_t done_ = 0;
   std::size_t crashed_done_ = 0;
   std::uint64_t scratch_index_ = 0;  ///< Live lookup cursor for run_xs_range.
+  std::vector<std::size_t> probes_;  ///< Emulated runs: grid-search probe replay.
 
-  // Volatile working copy (all engines accumulate here; dies with the power).
-  std::array<double, kChannels> macro_{};
-  std::array<std::uint64_t, kChannels> counters_{};
+  // Working copy every engine accumulates into: the DRAM arrays (dying with
+  // the power), or under alg-* the NVM arena.
+  std::array<double, kChannels> dram_macro_{};
+  std::array<std::uint64_t, kChannels> dram_counters_{};
+  std::span<double> macro_;
+  std::span<std::uint64_t> counters_;
   std::uint64_t durable_units_ = 0;  ///< Checkpointed progress scalar.
   std::unique_ptr<checkpoint::CheckpointSet> ckpt_;
 

@@ -135,7 +135,7 @@ void MemorySimulator::on_read(const void* p, std::size_t bytes) {
   maybe_crash_on_access();
 }
 
-void MemorySimulator::on_write(void* p, std::size_t bytes) {
+void MemorySimulator::on_write(const void* p, std::size_t bytes) {
   if (bytes == 0 || crashed_) return;
   ++stats_.writes;
   account_access(model_addr(p, bytes), bytes, /*is_write=*/true);

@@ -77,7 +77,7 @@ class MemorySimulator {
   /// Announces a read/write of [p, p+bytes), which must lie inside one
   /// registered region (ContractViolation otherwise).
   void on_read(const void* p, std::size_t bytes);
-  void on_write(void* p, std::size_t bytes);
+  void on_write(const void* p, std::size_t bytes);
 
   /// CLFLUSH of every line overlapping [p, p+bytes): dirty resident lines are
   /// written back to the durable image, then invalidated.

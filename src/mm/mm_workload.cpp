@@ -5,10 +5,10 @@
 
 #include "common/align.hpp"
 #include "common/check.hpp"
+#include "common/timer.hpp"
 #include "core/shard.hpp"
 #include "kernels/backend.hpp"
 #include "linalg/gemm.hpp"
-#include "mm/mm_cc.hpp"
 #include "mm/mm_shard.hpp"
 
 namespace adcc::mm {
@@ -46,6 +46,7 @@ MmWorkloadConfig mm_workload_config(const Options& opts) {
   const std::int64_t base = opts.get_int("seed", 3);  // Shared --seed knob.
   cfg.seed_a = static_cast<std::uint64_t>(opts.get_int("seed_a", base));
   cfg.seed_b = static_cast<std::uint64_t>(opts.get_int("seed_b", base + 1));
+  cfg.cache_bytes = opts.get_size("cache_mb", 0) << 20;
   return cfg;
 }
 
@@ -85,11 +86,13 @@ void MmWorkload::prepare(core::ModeEnv& env) {
   env_ = &env;
   done_ = 0;
   crashed_done_ = 0;
-  fault_.reset_counter();
+  fault_.bind(nullptr);  // Software-counted unless the alg engine emulates.
   // Drop any previous mode's checkpoint set: its backend reference dies with
   // the old env, and a stale async_pending flag must not leak into this run.
   ckpt_.reset();
   engine_ = core::durability_kind(env.mode);
+  ADCC_CHECK(cfg_.cache_bytes == 0 || engine_ == core::DurabilityKind::kAlgorithm,
+             "cache_mb: the crash emulator runs only under the alg-* modes");
 
   switch (engine_) {
     case core::DurabilityKind::kNone:
@@ -127,6 +130,17 @@ void MmWorkload::prepare(core::ModeEnv& env) {
       }
       ctemp_ = env.region->allocate<double>(nc_ * nc_);
       progress_ = env.region->allocate<std::int64_t>(kCacheLine / sizeof(std::int64_t));
+      if (cfg_.cache_bytes > 0) {
+        fault_.emulate({.size_bytes = cfg_.cache_bytes, .ways = cfg_.cache_ways});
+        // Registration order places the regions in the cache model.
+        fault_.track_input("mm.Ac", std::span<const double>(ac_.data(), nc_ * cfg_.n));
+        fault_.track_input("mm.Br", std::span<const double>(br_.data(), cfg_.n * nc_));
+        fault_.track("mm.Ctemp", ctemp_);
+        for (std::size_t s = 0; s < panels_; ++s) {
+          fault_.track("mm.Ctemp_s" + std::to_string(s + 1), ctemp_s_[s]);
+        }
+        fault_.track("mm.progress", progress_);
+      }
       progress_[0] = 0;
       env.region->persist(progress_.data(), sizeof(std::int64_t));
       break;
@@ -140,13 +154,58 @@ void MmWorkload::multiply_panel_into(std::size_t s, double* out, bool accumulate
   linalg::gemm_panel(ac_, c0, k, br_, c0, out, accumulate);
 }
 
+void MmWorkload::alg_multiply(std::size_t s) {
+  double* out = ctemp_s_[s - 1].data();
+  multiply_panel_into(s, out, /*accumulate=*/false);
+  if (!fault_.emulated()) return;
+  // Per 64-row block: the Ac row slices, the streamed Br panel (resident
+  // across blocks on a real cache; re-touching keeps it MRU) and the produced
+  // rows. Each line is written once per execution, so announcing after the
+  // GEMM leaves the same dirty lines as announcing per block.
+  const std::size_t c0 = (s - 1) * cfg_.rank_k;
+  const std::size_t k = std::min(cfg_.rank_k, cfg_.n - c0);
+  constexpr std::size_t kRowBlock = 64;
+  for (std::size_t i0 = 0; i0 < nc_; i0 += kRowBlock) {
+    const std::size_t i1 = std::min(nc_, i0 + kRowBlock);
+    for (std::size_t i = i0; i < i1; ++i) {
+      fault_.read(ac_.data() + i * cfg_.n + c0, k * sizeof(double));
+    }
+    fault_.read(br_.data() + c0 * nc_, k * nc_ * sizeof(double));
+    fault_.write(out + i0 * nc_, (i1 - i0) * nc_ * sizeof(double));
+  }
+}
+
 void MmWorkload::alg_add_block(std::size_t blk) {
   const std::size_t r0 = (blk - 1) * cfg_.rank_k;
   const std::size_t r1 = std::min(nc_, r0 + cfg_.rank_k);
+  const std::size_t bytes = (r1 - r0) * nc_ * sizeof(double);
   std::vector<const double*> panels(panels_);
   for (std::size_t s = 0; s < panels_; ++s) panels[s] = ctemp_s_[s].data() + r0 * nc_;
   core::active_kernel_backend().panel_sum(panels.data(), panels_, r1 - r0, nc_, nc_,
                                           ctemp_.data() + r0 * nc_, nc_);
+  if (!fault_.emulated()) return;
+  for (const double* p : panels) fault_.read(p, bytes);
+  fault_.write(ctemp_.data() + r0 * nc_, bytes);
+}
+
+void MmWorkload::alg_persist_unit(std::size_t unit) {
+  nvm::NvmRegion& region = *env_->region;
+  if (unit <= panels_) {
+    // Loop 1: persist the temporal matrix's checksum row + column (Fig. 6
+    // lines 4-5).
+    const double* out = ctemp_s_[unit - 1].data();
+    fault_.persist(region, out + (nc_ - 1) * nc_, nc_ * sizeof(double));
+    for (std::size_t i = 0; i < nc_; ++i) {
+      fault_.persist(region, out + i * nc_ + (nc_ - 1), sizeof(double));
+    }
+  } else {
+    // Loop 2: persist the block's row checksums (Fig. 6 line 13).
+    const std::size_t r0 = (unit - panels_ - 1) * cfg_.rank_k;
+    const std::size_t r1 = std::min(nc_, r0 + cfg_.rank_k);
+    for (std::size_t i = r0; i < r1; ++i) {
+      fault_.persist(region, ctemp_.data() + i * nc_ + (nc_ - 1), sizeof(double));
+    }
+  }
 }
 
 bool MmWorkload::run_step() {
@@ -204,7 +263,7 @@ bool MmWorkload::run_step() {
       // Silent-corruption target: the checksummed accumulator this panel just
       // updated — the check at the next unit's top corrects or raises.
       fault_.corrupt("mm:cf", cf_.data(), cf_.size_bytes());
-      fault_.point(MmCrashConsistent::kPointMultEnd);
+      fault_.point(kPointMultEnd);
       break;
     }
     case core::DurabilityKind::kCheckpoint:
@@ -213,7 +272,7 @@ bool MmWorkload::run_step() {
       // Undefended: the flip is checkpointed along with the accumulator and
       // rides to verify() as an honest miss.
       fault_.corrupt("mm:cf", cf_.data(), cf_.size_bytes());
-      fault_.point(MmCrashConsistent::kPointMultEnd);
+      fault_.point(kPointMultEnd);
       break;
     case core::DurabilityKind::kTransaction: {
       pmemtx::Transaction tx(*log_);
@@ -223,19 +282,19 @@ bool MmWorkload::run_step() {
       multiply_panel_into(done_ + 1, tx_cf_.data(), /*accumulate=*/true);
       fault_.tick(panel_cost);
       fault_.corrupt("mm:cf", tx_cf_);
-      fault_.point(MmCrashConsistent::kPointMultEnd);
+      fault_.point(kPointMultEnd);
       tx_step_[0] = done_ + 1;
       tx.commit();
       break;
     }
     case core::DurabilityKind::kAlgorithm: {
       if (done_ < panels_) {
-        multiply_panel_into(done_ + 1, ctemp_s_[done_].data(), /*accumulate=*/false);
+        alg_multiply(done_ + 1);
         fault_.tick(panel_cost);
         // Flip target: the temporal matrix this unit wrote; its Eq. 6
         // checksums catch the corruption at the next unit's top.
         fault_.corrupt("mm:ctemp", ctemp_s_[done_]);
-        fault_.point(MmCrashConsistent::kPointMultEnd);
+        fault_.point(kPointMultEnd);
       } else {
         alg_add_block(done_ - panels_ + 1);
         fault_.tick(cfg_.rank_k * nc_ * (panels_ + 1));
@@ -247,7 +306,7 @@ bool MmWorkload::run_step() {
           fault_.corrupt("mm:cblock",
                          std::span<double>(ctemp_.data() + r0 * nc_, (r1 - r0) * nc_));
         }
-        fault_.point(MmCrashConsistent::kPointAddEnd);
+        fault_.point(kPointAddEnd);
       }
       break;
     }
@@ -265,29 +324,12 @@ void MmWorkload::make_durable() {
       ckpt_step_ = done_;
       ckpt_->save();
       break;
-    case core::DurabilityKind::kAlgorithm: {
-      nvm::NvmRegion& region = *env_->region;
-      if (done_ <= panels_) {
-        // Loop 1: persist the freshly computed temporal matrix's checksum
-        // row + column (Fig. 6 lines 4-5).
-        double* out = ctemp_s_[done_ - 1].data();
-        region.persist(out + (nc_ - 1) * nc_, nc_ * sizeof(double));
-        for (std::size_t i = 0; i < nc_; ++i) {
-          region.persist(out + i * nc_ + (nc_ - 1), sizeof(double));
-        }
-      } else {
-        // Loop 2: persist the block's row checksums.
-        const std::size_t blk = done_ - panels_;
-        const std::size_t r0 = (blk - 1) * cfg_.rank_k;
-        const std::size_t r1 = std::min(nc_, r0 + cfg_.rank_k);
-        for (std::size_t i = r0; i < r1; ++i) {
-          region.persist(ctemp_.data() + i * nc_ + (nc_ - 1), sizeof(double));
-        }
-      }
+    case core::DurabilityKind::kAlgorithm:
+      alg_persist_unit(done_);
       progress_[0] = static_cast<std::int64_t>(done_);
-      region.persist(progress_.data(), sizeof(std::int64_t));
+      fault_.write(progress_.data(), sizeof(std::int64_t));
+      fault_.persist(*env_->region, progress_.data(), sizeof(std::int64_t));
       break;
-    }
   }
 }
 
@@ -312,8 +354,12 @@ void MmWorkload::inject_crash() {
       ckpt_step_ = 0;
       break;
     case core::DurabilityKind::kTransaction:
+      break;  // All run state lives in the durable heap.
     case core::DurabilityKind::kAlgorithm:
-      break;  // All run state lives in the durable heap / arena.
+      // All run state lives in the arena; emulated, it now holds only what
+      // NVM held.
+      fault_.power_fail();
+      break;
   }
 }
 
@@ -340,6 +386,17 @@ bool MmWorkload::alg_temporal_consistent(std::size_t s) const {
     }
     if (!close(sum, m[(nc_ - 1) * nc_ + j], scale)) return false;
   }
+  return true;
+}
+
+bool MmWorkload::alg_temporal_correct(std::size_t s) {
+  // Checksum-directed correction of isolated element errors, in place.
+  Matrix m(nc_, nc_);
+  std::memcpy(m.data(), ctemp_s_[s - 1].data(), m.size_bytes());
+  if (abft::try_correct(m, abft::verify_full_checksums(m, cfg_.tol), cfg_.tol) == 0) {
+    return false;
+  }
+  std::memcpy(ctemp_s_[s - 1].data(), m.data(), m.size_bytes());
   return true;
 }
 
@@ -392,38 +449,45 @@ core::WorkloadRecovery MmWorkload::recover() {
       done_ = static_cast<std::size_t>(tx_step_[0]);
       break;
     case core::DurabilityKind::kAlgorithm: {
-      // The durable progress counter bounds what exists; re-validate each
-      // completed temporal matrix's checksums (consistent-vs-lost
-      // classification). The sequential cursor redoes everything from the
-      // first lost unit.
+      // The durable progress counter bounds what exists. Classify every
+      // completed unit from the durable image: consistent, correctable from
+      // its checksums, or lost. Lost panels are recomputed before lost
+      // blocks, which sum them.
       const auto durable = static_cast<std::size_t>(progress_[0]);
-      done_ = durable;
+      std::vector<std::size_t> corrected, lost;
       for (std::size_t s = 1; s <= std::min(durable, panels_); ++s) {
         ++rec.candidates_checked;
-        if (!alg_temporal_consistent(s)) {
-          done_ = s - 1;
-          break;
-        }
+        if (alg_temporal_consistent(s)) continue;
+        (alg_temporal_correct(s) ? corrected : lost).push_back(s);
       }
-      // Loop-2 corruption (a silent flip in a summed block): rewind to just
-      // before the first inconsistent block so its re-execution — panel_sum
-      // writes, not accumulates — replaces the damaged rows. Without this a
-      // detected Loop-2 flip would survive rollback and re-trip the online
-      // check forever.
-      if (done_ == durable && durable > panels_) {
-        for (std::size_t blk = 1; blk <= durable - panels_; ++blk) {
-          ++rec.candidates_checked;
-          if (!alg_block_consistent(blk)) {
-            done_ = panels_ + blk - 1;
-            break;
-          }
-        }
+      for (std::size_t unit = panels_ + 1; unit <= durable; ++unit) {
+        ++rec.candidates_checked;
+        if (!alg_block_consistent(unit - panels_)) lost.push_back(unit);
       }
+      // Repair in place and re-persist; the run resumes at the durable
+      // counter.
+      const Timer repair;
+      for (const std::size_t s : corrected) {
+        fault_.write(ctemp_s_[s - 1]);
+        fault_.persist(*env_->region, ctemp_s_[s - 1].data(), ctemp_s_[s - 1].size_bytes());
+      }
+      for (const std::size_t unit : lost) {
+        if (unit <= panels_) {
+          alg_multiply(unit);
+        } else {
+          alg_add_block(unit - panels_);
+        }
+        alg_persist_unit(unit);
+      }
+      rec.repair_seconds = repair.elapsed();
+      rec.units_corrected = corrected.size();
+      rec.units_lost = lost.size();
+      done_ = durable;
       break;
     }
   }
   rec.restart_unit = done_ + 1;
-  rec.units_lost = crashed_done_ - done_;
+  rec.units_lost += crashed_done_ - done_;
   return rec;
 }
 
@@ -470,9 +534,12 @@ bool MmWorkload::verify() {
 ADCC_REGISTER_WORKLOAD(
     "mm", "ABFT dense matrix multiplication (paper SIII-C, Figs. 5-8)",
     [](const Options& opts) -> std::unique_ptr<core::Workload> {
+      ADCC_CHECK(!opts.has("policy"), "policy: only the mc alg-* engines have a flush policy");
       const MmWorkloadConfig cfg = mm_workload_config(opts);
       const std::size_t shards = opts.get_size("shards", 1);
       if (shards > 1) {
+        ADCC_CHECK(cfg.cache_bytes == 0,
+                   "cache_mb: the crash emulator runs only under unsharded alg-* engines");
         return std::make_unique<core::ShardGroup>(
             std::make_unique<MmShardPlan>(cfg),
             core::ShardGroupConfig{shards, opts.get_bool("shard_stagger", false)},

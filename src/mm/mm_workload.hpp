@@ -8,9 +8,14 @@
 //                    checksum-line flushes, then `blocks` addition units with
 //                    row-checksum flushes; the progress-counter line is the
 //                    per-unit flush.
-// Algorithm-mode recovery re-validates the checksums of every completed
-// temporal matrix from the durable image (the paper's consistent/lost
-// classification) instead of trusting the counter alone.
+// Algorithm-mode recovery classifies every completed unit from the durable
+// image (Fig. 7): a temporal matrix or row block whose checksums hold is
+// consistent, a single-element error is corrected from the checksums, and
+// anything else is lost and recomputed in place — durable checksums are never
+// overwritten, so the run resumes at the durable progress counter. With
+// cache_mb the alg-* engine runs under the crash emulator, where a crash
+// loses the temporal lines still resident in the cache; without it the arena
+// is host memory and keeps every store.
 #pragma once
 
 #include <memory>
@@ -35,13 +40,24 @@ struct MmWorkloadConfig {
   std::uint64_t seed_b = 4;
   abft::ChecksumTolerance tol;
   double verify_rel_tol = 1e-8;
+  /// > 0: the alg-* engines run under the crash emulator with an LRU cache of
+  /// this many bytes (--cache_mb); 0 keeps the arena in host memory.
+  std::size_t cache_bytes = 0;
+  std::size_t cache_ways = 16;    ///< Emulated cache associativity.
 };
 
+/// Builds the config from CLI options (--n, --rank, --seed, --cache_mb,
+/// --quick).
 MmWorkloadConfig mm_workload_config(const Options& opts);
 
 class MmWorkload final : public core::Workload {
  public:
   explicit MmWorkload(const MmWorkloadConfig& cfg);
+
+  /// Crash sites: the end of a submatrix multiplication (Loop 1) / addition
+  /// (Loop 2), before its durability action.
+  static constexpr const char* kPointMultEnd = "mm:loop1_end";
+  static constexpr const char* kPointAddEnd = "mm:loop2_end";
 
   std::string name() const override { return "mm"; }
   std::size_t work_units() const override;
@@ -68,8 +84,11 @@ class MmWorkload final : public core::Workload {
  private:
   void multiply_panel_into(std::size_t s, double* out, bool accumulate) const;
   bool alg_temporal_consistent(std::size_t s) const;
+  bool alg_temporal_correct(std::size_t s);
   bool alg_block_consistent(std::size_t blk) const;
+  void alg_multiply(std::size_t s);
   void alg_add_block(std::size_t blk);
+  void alg_persist_unit(std::size_t unit);
 
   MmWorkloadConfig cfg_;
   std::size_t nc_ = 0;      ///< n + 1 (checksum dimension).
@@ -80,7 +99,7 @@ class MmWorkload final : public core::Workload {
 
   core::ModeEnv* env_ = nullptr;
   core::DurabilityKind engine_ = core::DurabilityKind::kNone;
-  core::FaultSurface fault_;  ///< Software-counted mid-unit crash surface.
+  core::FaultSurface fault_;  ///< Mid-unit crash surface (emulated: alg + cache_mb).
   std::size_t done_ = 0;
   std::size_t crashed_done_ = 0;
 

@@ -244,6 +244,19 @@ TEST(McAdapter, AllSevenModesMatchNativeTalliesExactly) {
   }
 }
 
+TEST(McAdapter, AllInteractionTypesRoughlyEquallyLikely) {
+  // The paper's no-crash observation (Fig. 10, left bars ~20 % each).
+  mc::XsConfig data;
+  data.n_nuclides = 12;
+  data.gridpoints_per_nuclide = 256;
+  data.seed = 5;
+  const mc::Tally t = mc::run_xs_native(mc::XsDataHost(data), 4000, 77);
+  for (const double p : t.percentages(t.total())) {
+    EXPECT_GT(p, 8.0);
+    EXPECT_LT(p, 40.0);
+  }
+}
+
 TEST(McAdapter, RejectsZeroInterval) {
   mc::McWorkloadConfig cfg = mc_config();
   cfg.interval = 0;

@@ -1,56 +1,49 @@
 // Crash-fuzzing property tests: the central safety property of the library —
 // *recovery is correct no matter when the machine dies* — exercised with
-// access-count crash triggers at pseudo-random points for all three
-// algorithms. Unlike the named-crash-point sweeps in the per-module tests,
-// these crashes land mid-kernel, between arbitrary line accesses.
+// seeded fuzz:SEED crashes (a random access inside a random unit) for all
+// three algorithm-directed engines under the crash emulator, driven through
+// ScenarioRunner. Unlike the named-crash-point sweeps, these crashes land
+// mid-kernel, between arbitrary line accesses.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
-#include "cg/cg.hpp"
-#include "cg/cg_cc.hpp"
-#include "common/check.hpp"
+#include "cg/cg_workload.hpp"
 #include "common/rng.hpp"
-#include "linalg/gemm.hpp"
-#include "linalg/spgen.hpp"
-#include "linalg/vec_ops.hpp"
-#include "mc/xs_cc.hpp"
-#include "mm/mm_cc.hpp"
+#include "core/scenario.hpp"
+#include "mc/mc_workload.hpp"
+#include "memsim/tracked.hpp"
+#include "mm/mm_workload.hpp"
 
 namespace adcc {
 namespace {
 
+core::ScenarioResult fuzz_alg(core::Workload& w, int seed) {
+  core::ScenarioConfig cfg;
+  cfg.mode = core::Mode::kAlgNvm;
+  cfg.crash = core::parse_crash_or_throw("fuzz:" + std::to_string(seed));
+  w.tune_env(cfg.mode, cfg.env);
+  cfg.verify = true;
+  return core::run_scenario(w, cfg);
+}
+
 class CgFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CgFuzz, RandomAccessCrashAlwaysRecovers) {
-  const std::size_t n = 600, iters = 8;
-  const auto a = linalg::make_spd(n, 9, 7);
-  const auto b = linalg::make_rhs(n, 8);
-  const auto golden = cg::cg_solve(a, b, iters);
-
-  // Measure the uncrashed access count once to place crashes inside the run.
-  static std::uint64_t total_accesses = 0;
-  cg::CgCcConfig cfg;
-  cfg.n_iters = iters;
-  cfg.cache.ways = 8;
-  cfg.cache.size_bytes = 128u << 10;
-  if (total_accesses == 0) {
-    cg::CgCrashConsistent probe(a, b, cfg);
-    ASSERT_FALSE(probe.run());
-    total_accesses = probe.sim().access_count();
-  }
-
-  SplitMix64 rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
-  const std::uint64_t crash_at = 1 + rng.next_below(total_accesses - 1);
-
-  cg::CgCrashConsistent cc(a, b, cfg);
-  cc.sim().scheduler().arm_at_access(crash_at);
-  ASSERT_TRUE(cc.run()) << "crash_at=" << crash_at;
-  const cg::CgRecovery rec = cc.recover_and_resume();
-  cc.finish();
-  EXPECT_LT(linalg::max_abs_diff(cc.solution(), golden.x), 1e-9)
-      << "crash_at=" << crash_at << " restart=" << rec.restart_iter;
-  EXPECT_LE(rec.restart_iter, rec.crash_iter);
+  cg::CgWorkloadConfig cfg;
+  cfg.n = 600;
+  cfg.nz_per_row = 9;
+  cfg.iters = 8;
+  cfg.matrix_seed = 7;
+  cfg.rhs_seed = 8;
+  cfg.cache_bytes = 128u << 10;
+  cfg.cache_ways = 8;
+  cg::CgWorkload w(cfg);
+  const core::ScenarioResult res = fuzz_alg(w, GetParam());
+  EXPECT_EQ(res.crashes, 1u);
+  EXPECT_LE(res.restart_unit, res.crash_unit + 1);
+  EXPECT_TRUE(res.verified) << "crash_access=" << res.crash_access;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CgFuzz, ::testing::Range(0, 12));
@@ -58,39 +51,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CgFuzz, ::testing::Range(0, 12));
 class MmFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(MmFuzz, RandomAccessCrashAlwaysRecovers) {
-  const std::size_t n = 64, k = 16;
-  static linalg::Matrix a, b, golden;
-  if (a.rows() == 0) {
-    a = linalg::Matrix(n, n);
-    b = linalg::Matrix(n, n);
-    golden = linalg::Matrix(n, n);
-    a.fill_random(21, -1, 1);
-    b.fill_random(22, -1, 1);
-    linalg::gemm_reference(a, b, golden);
-  }
-
-  mm::MmCcConfig cfg;
-  cfg.n = n;
-  cfg.rank_k = k;
-  cfg.cache.ways = 4;
-  cfg.cache.size_bytes = 32u << 10;
-
-  static std::uint64_t total_accesses = 0;
-  if (total_accesses == 0) {
-    mm::MmCrashConsistent probe(a, b, cfg);
-    ASSERT_FALSE(probe.run());
-    total_accesses = probe.sim().access_count();
-  }
-
-  SplitMix64 rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
-  const std::uint64_t crash_at = 1 + rng.next_below(total_accesses - 1);
-
-  mm::MmCrashConsistent mm(a, b, cfg);
-  mm.sim().scheduler().arm_at_access(crash_at);
-  ASSERT_TRUE(mm.run()) << "crash_at=" << crash_at;
-  mm.recover_and_resume();
-  EXPECT_LT(linalg::Matrix::max_abs_diff(mm.result(), golden), 1e-10)
-      << "crash_at=" << crash_at;
+  mm::MmWorkloadConfig cfg;
+  cfg.n = 64;
+  cfg.rank_k = 16;
+  cfg.seed_a = 21;
+  cfg.seed_b = 22;
+  cfg.cache_bytes = 32u << 10;
+  cfg.cache_ways = 4;
+  mm::MmWorkload w(cfg);
+  const core::ScenarioResult res = fuzz_alg(w, GetParam());
+  EXPECT_EQ(res.crashes, 1u);
+  EXPECT_TRUE(res.verified) << "crash_access=" << res.crash_access;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MmFuzz, ::testing::Range(0, 12));
@@ -98,39 +69,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MmFuzz, ::testing::Range(0, 12));
 class XsFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(XsFuzz, RandomAccessCrashRecoversExactTallies) {
-  static const mc::XsDataHost data([] {
-    mc::XsConfig c;
-    c.n_nuclides = 10;
-    c.gridpoints_per_nuclide = 128;
-    c.seed = 2;
-    return c;
-  }());
-
-  mc::XsCcConfig cfg;
-  cfg.total_lookups = 2500;
+  mc::McWorkloadConfig cfg;
+  cfg.data.n_nuclides = 10;
+  cfg.data.gridpoints_per_nuclide = 128;
+  cfg.data.seed = 2;
+  cfg.lookups = 2500;
+  cfg.interval = 25;
+  cfg.seed = 5;
   cfg.policy = mc::XsFlushPolicy::kSelective;
-  cfg.flush_interval = 25;
-  cfg.cache.ways = 4;
-  cfg.cache.size_bytes = 32u << 10;
-  cfg.rng_seed = 5;
-
-  static mc::Tally reference;
-  static std::uint64_t total_accesses = 0;
-  if (total_accesses == 0) {
-    mc::XsCrashConsistent probe(data, cfg);
-    ASSERT_FALSE(probe.run());
-    reference = probe.tally();
-    total_accesses = probe.sim().access_count();
-  }
-
-  SplitMix64 rng(static_cast<std::uint64_t>(GetParam()) * 1299709 + 17);
-  const std::uint64_t crash_at = 1 + rng.next_below(total_accesses - 1);
-
-  mc::XsCrashConsistent xs(data, cfg);
-  xs.sim().scheduler().arm_at_access(crash_at);
-  ASSERT_TRUE(xs.run()) << "crash_at=" << crash_at;
-  xs.recover_and_resume();
-  EXPECT_EQ(xs.tally().counts, reference.counts) << "crash_at=" << crash_at;
+  cfg.cache_bytes = 32u << 10;
+  cfg.cache_ways = 4;
+  mc::McWorkload w(cfg);
+  const core::ScenarioResult res = fuzz_alg(w, GetParam());
+  EXPECT_EQ(res.crashes, 1u);
+  EXPECT_LE(res.recomputation.units_redone(), 1u);
+  EXPECT_TRUE(res.verified) << "crash_access=" << res.crash_access;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XsFuzz, ::testing::Range(0, 12));

@@ -1,7 +1,7 @@
 // Tests for the fault-injection engine: FaultSurface semantics (software
 // counting, point occurrences, one-shot firing, simulator binding, silent
 // flips), a seeded property fuzz over the whole crash-plan grammar, and the
-// memsim-backed *-sim workloads driven through ScenarioRunner.
+// alg-* engines under the crash emulator driven through ScenarioRunner.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,14 +9,16 @@
 #include <string>
 #include <vector>
 
-#include "cg/cg_sim_workload.hpp"
+#include "cg/cg_workload.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/fault.hpp"
 #include "core/scenario.hpp"
-#include "mc/mc_sim_workload.hpp"
+#include "mc/mc_workload.hpp"
 #include "memsim/memsim.hpp"
 #include "memsim/tracked.hpp"
-#include "mm/mm_sim_workload.hpp"
+#include "mm/mm_workload.hpp"
+#include "nvm/nvm_region.hpp"
 
 namespace adcc {
 namespace {
@@ -82,7 +84,8 @@ TEST(FaultSurface, BindingForwardsArmingToSimulator) {
   f.arm_at_access(3);
   EXPECT_TRUE(sim.scheduler().armed());
   EXPECT_TRUE(f.armed());
-  // While bound, tick/point are inert — the simulator does the counting.
+  // While bound, tick is inert — the simulator does the counting — and point
+  // forwards to the simulator's crash point, which an access trigger ignores.
   f.tick(1000);
   f.point("anything");
   bool fired = false;
@@ -316,10 +319,50 @@ TEST(CrashGrammarFuzz, InvalidPlansAreRejectedCleanlyNeverAccepted) {
   EXPECT_GE(checked, 100);
 }
 
-// ------------------------------------------------------------- sim x runner --
+// ------------------------------------------------------- emulator x runner --
 
-cg::CgSimWorkloadConfig tiny_cg_sim() {
-  cg::CgSimWorkloadConfig cfg;
+TEST(FaultSurface, EmulatedPowerFailKeepsOnlyFlushedLines) {
+  // The glue the alg-* engines drive: registered arena bytes start zeroed,
+  // announced writes stay volatile until persisted, and power_fail copies the
+  // durable image back over the live bytes.
+  nvm::PerfModel perf{nvm::PerfConfig{.enabled = false}};
+  nvm::NvmRegion region(4 * kCacheLine, perf);
+  const std::span<double> a = region.allocate<double>(8);
+  const std::span<double> b = region.allocate<double>(8);
+  a[0] = 5.0;  // Written before registration: track() zeroes it.
+  FaultSurface f;
+  f.emulate({.size_bytes = 64 * kCacheLine, .ways = 4});
+  f.track("a", a);
+  f.track("b", b);
+  EXPECT_EQ(a[0], 0.0);
+  a[0] = 1.0;
+  b[0] = 2.0;
+  f.write(a);
+  f.write(b);
+  f.persist(region, a.data(), a.size_bytes());
+  f.power_fail();
+  EXPECT_EQ(a[0], 1.0);  // Flushed: durable.
+  EXPECT_EQ(b[0], 0.0);  // Still cache-resident at the crash: lost.
+  f.bind(nullptr);
+  EXPECT_FALSE(f.emulated());
+}
+
+TEST(FaultSurface, EmulatedInputsAnnounceThroughStandIns) {
+  // Read-only inputs of any alignment register through an aligned stand-in;
+  // their announcements count line accesses like any tracked region.
+  const std::vector<double> input(100, 1.0);
+  FaultSurface f;
+  f.emulate({.size_bytes = 64 * kCacheLine, .ways = 4});
+  f.track_input("in", std::span<const double>(input));
+  // Bytes [8, 136) of the input: lines 0-2 of its stand-in, wherever the
+  // vector itself is allocated.
+  f.read(std::span<const double>(input).subspan(1, 16));
+  EXPECT_EQ(f.access_count(), 3u);
+  EXPECT_THROW(f.read(&f, sizeof(f)), ContractViolation);  // Untracked.
+}
+
+cg::CgWorkloadConfig tiny_cg_emulated() {
+  cg::CgWorkloadConfig cfg;
   cfg.n = 400;
   cfg.nz_per_row = 7;
   cfg.iters = 6;
@@ -328,7 +371,7 @@ cg::CgSimWorkloadConfig tiny_cg_sim() {
   return cfg;
 }
 
-core::ScenarioConfig sim_config(const core::Workload& w) {
+core::ScenarioConfig alg_config(const core::Workload& w) {
   core::ScenarioConfig cfg;
   cfg.mode = core::Mode::kAlgNvm;
   w.tune_env(cfg.mode, cfg.env);
@@ -336,9 +379,9 @@ core::ScenarioConfig sim_config(const core::Workload& w) {
   return cfg;
 }
 
-TEST(SimWorkload, CgPointCrashThroughRunnerVerifies) {
-  cg::CgSimWorkload w(tiny_cg_sim());
-  core::ScenarioConfig cfg = sim_config(w);
+TEST(EmulatedWorkload, CgPointCrashThroughRunnerVerifies) {
+  cg::CgWorkload w(tiny_cg_emulated());
+  core::ScenarioConfig cfg = alg_config(w);
   cfg.crash = *core::parse_crash("point:cg:p_updated:4");
   const core::ScenarioResult res = core::run_scenario(w, cfg);
   EXPECT_EQ(res.crashes, 1u);
@@ -348,11 +391,11 @@ TEST(SimWorkload, CgPointCrashThroughRunnerVerifies) {
   EXPECT_TRUE(res.verified);
 }
 
-TEST(SimWorkload, CgBoundaryCrashThroughRunnerVerifies) {
-  // Boundary plans also work on sim workloads: the runner injects the power
-  // loss into the simulator at the planned unit boundary.
-  cg::CgSimWorkload w(tiny_cg_sim());
-  core::ScenarioConfig cfg = sim_config(w);
+TEST(EmulatedWorkload, CgBoundaryCrashThroughRunnerVerifies) {
+  // Boundary plans work under the emulator too: inject_crash powers it off
+  // at the planned unit boundary.
+  cg::CgWorkload w(tiny_cg_emulated());
+  core::ScenarioConfig cfg = alg_config(w);
   cfg.crash = *core::parse_crash("step:3");
   const core::ScenarioResult res = core::run_scenario(w, cfg);
   EXPECT_EQ(res.crashes, 1u);
@@ -361,9 +404,9 @@ TEST(SimWorkload, CgBoundaryCrashThroughRunnerVerifies) {
   EXPECT_TRUE(res.verified);
 }
 
-TEST(SimWorkload, CgFuzzCrashThroughRunnerVerifies) {
-  cg::CgSimWorkload w(tiny_cg_sim());
-  core::ScenarioConfig cfg = sim_config(w);
+TEST(EmulatedWorkload, CgFuzzCrashThroughRunnerVerifies) {
+  cg::CgWorkload w(tiny_cg_emulated());
+  core::ScenarioConfig cfg = alg_config(w);
   cfg.crash = *core::parse_crash("fuzz:11");
   const core::ScenarioResult a = run_scenario(w, cfg);
   const core::ScenarioResult b = run_scenario(w, cfg);
@@ -372,15 +415,19 @@ TEST(SimWorkload, CgFuzzCrashThroughRunnerVerifies) {
   EXPECT_TRUE(a.verified);
 }
 
-TEST(SimWorkload, MmLoopOneAndLoopTwoCrashesVerify) {
-  mm::MmSimWorkloadConfig mcfg;
-  mcfg.n = 64;
-  mcfg.rank_k = 16;
-  mcfg.cache_bytes = 32u << 10;
-  mcfg.cache_ways = 4;
-  mm::MmSimWorkload w(mcfg);
+mm::MmWorkloadConfig tiny_mm_emulated() {
+  mm::MmWorkloadConfig cfg;
+  cfg.n = 64;
+  cfg.rank_k = 16;  // 4 panels + 5 blocks.
+  cfg.cache_bytes = 32u << 10;
+  cfg.cache_ways = 4;
+  return cfg;
+}
+
+TEST(EmulatedWorkload, MmLoopOneAndLoopTwoCrashesVerify) {
+  mm::MmWorkload w(tiny_mm_emulated());
   for (const char* plan : {"point:mm:loop1_end:2", "point:mm:loop2_end:2", "fuzz:3"}) {
-    core::ScenarioConfig cfg = sim_config(w);
+    core::ScenarioConfig cfg = alg_config(w);
     cfg.crash = *core::parse_crash(plan);
     const core::ScenarioResult res = core::run_scenario(w, cfg);
     EXPECT_EQ(res.crashes, 1u) << plan;
@@ -388,61 +435,54 @@ TEST(SimWorkload, MmLoopOneAndLoopTwoCrashesVerify) {
   }
 }
 
-TEST(SimWorkload, MmCrashAtVeryLastUnitStillFinishes) {
-  // Regression: a crash at the final loop-2 block's crash point fires after
-  // the unit counters advanced; completion must be derivable after recovery
-  // (a latched finished flag would never be set and result() would abort).
-  mm::MmSimWorkloadConfig mcfg;
-  mcfg.n = 64;
-  mcfg.rank_k = 16;  // 4 panels + 5 blocks.
-  mcfg.cache_bytes = 32u << 10;
-  mcfg.cache_ways = 4;
-  mm::MmSimWorkload w(mcfg);
-  core::ScenarioConfig cfg = sim_config(w);
+TEST(EmulatedWorkload, MmCrashAtVeryLastUnitStillFinishes) {
+  // A crash at the final Loop-2 block's crash point interrupts the last unit
+  // before its checksum flush; recovery classifies every earlier unit and the
+  // run re-executes the last one.
+  mm::MmWorkload w(tiny_mm_emulated());
+  core::ScenarioConfig cfg = alg_config(w);
   cfg.crash = *core::parse_crash("point:mm:loop2_end:5");
   const core::ScenarioResult res = core::run_scenario(w, cfg);
   EXPECT_EQ(res.crashes, 1u);
-  EXPECT_EQ(res.crash_unit, res.work_units);
+  EXPECT_EQ(res.crash_unit + 1, res.work_units);
+  EXPECT_EQ(res.recomputation.partial_units, 1u);
   EXPECT_TRUE(res.verified);
 }
 
-TEST(SimWorkload, McSelectiveCrashRecoversExactTallies) {
-  mc::McSimWorkloadConfig mcfg;
-  mcfg.data.n_nuclides = 10;
-  mcfg.data.gridpoints_per_nuclide = 128;
-  mcfg.lookups = 2000;
-  mcfg.policy = mc::XsFlushPolicy::kSelective;
-  mcfg.flush_interval = 25;
-  mcfg.cache_bytes = 32u << 10;
-  mcfg.cache_ways = 4;
-  mc::McSimWorkload w(mcfg);
-  core::ScenarioConfig cfg = sim_config(w);
+mc::McWorkloadConfig tiny_mc_emulated(mc::XsFlushPolicy policy, std::uint64_t interval) {
+  mc::McWorkloadConfig cfg;
+  cfg.data.n_nuclides = 10;
+  cfg.data.gridpoints_per_nuclide = 128;
+  cfg.lookups = 2000;
+  cfg.interval = interval;
+  cfg.policy = policy;
+  cfg.cache_bytes = 32u << 10;
+  cfg.cache_ways = 4;
+  return cfg;
+}
+
+TEST(EmulatedWorkload, McSelectiveCrashRecoversExactTallies) {
+  mc::McWorkload w(tiny_mc_emulated(mc::XsFlushPolicy::kSelective, 25));
+  core::ScenarioConfig cfg = alg_config(w);
   cfg.crash = *core::parse_crash("point:xs:lookup_end:600");
   const core::ScenarioResult res = core::run_scenario(w, cfg);
   EXPECT_EQ(res.crashes, 1u);
-  EXPECT_EQ(res.crash_unit, 600u);
+  EXPECT_EQ(res.crash_unit, 23u);  // Lookup 600 ends unit 24, before its flush.
   // Bounded loss: at most one flush interval re-executed.
-  EXPECT_LE(res.recomputation.units_lost, mcfg.flush_interval);
+  EXPECT_LE(res.recomputation.units_redone(), 1u);
   EXPECT_TRUE(res.verified);
 }
 
-TEST(SimWorkload, McBasicIdeaCrashDivergesByDesign) {
-  mc::McSimWorkloadConfig mcfg;
-  mcfg.data.n_nuclides = 10;
-  mcfg.data.gridpoints_per_nuclide = 128;
-  mcfg.lookups = 2000;
-  mcfg.policy = mc::XsFlushPolicy::kBasicIdea;
-  mcfg.cache_bytes = 32u << 10;
-  mcfg.cache_ways = 4;
-  mc::McSimWorkload w(mcfg);
-  core::ScenarioConfig cfg = sim_config(w);
+TEST(EmulatedWorkload, McBasicIdeaCrashDivergesByDesign) {
+  mc::McWorkload w(tiny_mc_emulated(mc::XsFlushPolicy::kBasicIdea, 1));
+  core::ScenarioConfig cfg = alg_config(w);
   cfg.crash = *core::parse_crash("point:xs:lookup_end:600");
   const core::ScenarioResult res = core::run_scenario(w, cfg);
   EXPECT_EQ(res.crashes, 1u);
   // The basic idea loses the cache-resident counter updates: Fig. 10's point.
   EXPECT_TRUE(res.verify_ran);
   EXPECT_FALSE(res.verified);
-  EXPECT_GT(res.recomputation.units_lost, 0u);
+  EXPECT_EQ(res.recomputation.units_redone(), 1u);
 }
 
 }  // namespace

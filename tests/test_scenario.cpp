@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cg/cg_workload.hpp"
 #include "core/scenario.hpp"
@@ -277,6 +280,51 @@ TEST(ScenarioRunner, DurableModesLoseNothingAtBoundaries) {
     EXPECT_EQ(res.recomputation.units_lost, 0u) << mode_name(m);
     EXPECT_EQ(res.restart_unit, 5u) << mode_name(m);
     EXPECT_TRUE(res.verified) << mode_name(m);
+  }
+}
+
+TEST(ScenarioRunner, EmulatedAlgModesVerifyAndLoseCacheResidentWork) {
+  // The sibling of DurableModesLoseNothingAtBoundaries on the emulated
+  // substrate: with cache_mb the alg-* arena keeps only flushed or evicted
+  // lines, and recovery must still verify on every workload and plan family.
+  cg::CgWorkloadConfig cgc = tiny_cg();
+  cgc.cache_bytes = 1u << 20;
+  mm::MmWorkloadConfig mmc = tiny_mm();
+  mmc.cache_bytes = 1u << 20;
+  mc::McWorkloadConfig mcc = tiny_mc();
+  mcc.cache_bytes = 1u << 20;
+  cg::CgWorkload cgw(cgc);
+  mm::MmWorkload mmw(mmc);
+  mc::McWorkload mcw(mcc);
+  const std::vector<std::pair<Workload*, const char*>> cases = {
+      {&cgw, "point:cg:p_updated:4"}, {&mmw, "point:mm:loop1_end:3"},
+      {&mcw, "point:xs:lookup_end:350"}};
+  for (const auto& [w, point] : cases) {
+    for (const std::string plan : {"none", "step:4", point, "fuzz:3", "fuzz:8"}) {
+      ScenarioConfig cfg = tiny_config(*w, Mode::kAlgNvm);
+      cfg.crash = parse_crash_or_throw(plan);
+      const ScenarioResult res = run_scenario(*w, cfg);
+      EXPECT_EQ(res.crashes, plan == "none" ? 0u : 1u) << w->name() << " " << plan;
+      if (res.crashes > 0) {
+        EXPECT_GT(res.recomputation.detect_seconds, 0.0) << w->name() << " " << plan;
+      }
+      EXPECT_TRUE(res.verified) << w->name() << " " << plan;
+    }
+  }
+  // CG flushes only its counter line, and at --quick size the 1 MB cache
+  // holds every history row: a crash after iteration 7 loses all seven. The
+  // host-memory arena loses none.
+  Options quick;
+  quick.set("quick", "1");
+  cg::CgWorkloadConfig q = cg::cg_workload_config(quick);
+  for (const std::size_t cache : {std::size_t{1} << 20, std::size_t{0}}) {
+    q.cache_bytes = cache;
+    cg::CgWorkload w(q);
+    ScenarioConfig cfg = tiny_config(w, Mode::kAlgNvm);
+    cfg.crash = at_step(7);
+    const ScenarioResult res = run_scenario(w, cfg);
+    EXPECT_EQ(res.recomputation.units_lost, cache > 0 ? 7u : 0u) << cache;
+    EXPECT_TRUE(res.verified) << cache;
   }
 }
 

@@ -91,15 +91,14 @@ TEST(ParseSweep, ModeAllAndCanonicalization) {
             (std::vector<std::string>{"none", "point:cg:p_updated", "fuzz:9"}));
 }
 
-TEST(ParseSweep, WorkloadAllSkipsSimAdapters) {
-  const SweepSpec spec = parse_ok("workload=all");
-  for (const std::string& name : spec.axes[0].values) {
-    EXPECT_FALSE(name.ends_with("-sim")) << name;
-  }
-  EXPECT_NE(spec.axes[0].values, std::vector<std::string>{});
-  // Explicitly named sim workloads are accepted.
-  EXPECT_EQ(parse_ok("workload=cg-sim").axes[0].values,
-            (std::vector<std::string>{"cg-sim"}));
+TEST(ParseSweep, WorkloadAllIsEveryRegisteredWorkload) {
+  EXPECT_EQ(parse_ok("workload=all").axes[0].values, WorkloadRegistry::instance().names());
+  EXPECT_EQ(parse_ok("workload=all").axes[0].values,
+            (std::vector<std::string>{"cg", "mc", "mm"}));
+  // No separate emulator workload: the emulator is the alg-* engines' cache_mb.
+  parse_err("workload=cg-sim");
+  // Flushing every lookup is the selective policy at interval=1.
+  parse_err("policy=every");
 }
 
 TEST(ParseSweep, BadGrammar) {
@@ -249,6 +248,58 @@ TEST(RunSweep, CellFailureIsIsolated) {
   }());
   EXPECT_EQ(deck.table(false).render(TableFormat::kCsv),
             par.table(false).render(TableFormat::kCsv));
+}
+
+TEST(RunSweep, CacheMbIsRejectedOutsideTheAlgModes) {
+  // Only the alg-* engines run under the crash emulator: every other mode
+  // fails its cell with a message naming the key instead of ignoring it.
+  const SweepSpec spec =
+      parse_ok("workload=cg+mm+mc,mode=native+ckpt-nvm+pmem-tx+alg-nvm,crash=step:2");
+  SweepConfig cfg = tiny_config(1);
+  cfg.base.set("cache_mb", "1").set("lookups", "2000");
+  const SweepResult deck = run_sweep(spec, cfg);
+  ASSERT_EQ(deck.cells.size(), 12u);
+  for (const SweepCellResult& cell : deck.cells) {
+    if (cell.mode_label == "alg-nvm") {
+      EXPECT_EQ(cell.status, SweepCellResult::Status::kOk) << cell.index << cell.error;
+    } else {
+      EXPECT_EQ(cell.status, SweepCellResult::Status::kError) << cell.index;
+      EXPECT_NE(cell.error.find("cache_mb"), std::string::npos) << cell.error;
+    }
+  }
+}
+
+TEST(RunSweep, PolicyIsRejectedOutsideMcAlgRuns) {
+  const SweepSpec spec = parse_ok("workload=cg+mm+mc,mode=native+alg-nvm,policy=selective");
+  SweepConfig cfg = tiny_config(1);
+  cfg.base.set("lookups", "2000");
+  const SweepResult deck = run_sweep(spec, cfg);
+  ASSERT_EQ(deck.cells.size(), 6u);
+  for (const SweepCellResult& cell : deck.cells) {
+    if (cell.workload == "mc" && cell.mode_label == "alg-nvm") {
+      EXPECT_EQ(cell.status, SweepCellResult::Status::kOk) << cell.index << cell.error;
+    } else {
+      EXPECT_EQ(cell.status, SweepCellResult::Status::kError) << cell.index;
+      EXPECT_NE(cell.error.find("policy"), std::string::npos) << cell.error;
+    }
+  }
+}
+
+TEST(RunSweep, NativeBaselineDropsTheAlgOnlyKeys) {
+  // The native baseline of a cache_mb / policy cell runs without both keys
+  // (as it runs without the cell's mode and crash), so it neither fails nor
+  // splits: every cell of one shape shares one baseline.
+  const SweepSpec spec = parse_ok("workload=mc,mode=alg-nvm,policy=basic+selective,cache_mb=1+2");
+  SweepConfig cfg = tiny_config(1);
+  cfg.base.set("lookups", "2000");
+  cfg.baseline = true;
+  const SweepResult deck = run_sweep(spec, cfg);
+  ASSERT_EQ(deck.cells.size(), 4u);
+  EXPECT_TRUE(deck.all_ok());
+  for (const SweepCellResult& cell : deck.cells) {
+    EXPECT_GT(cell.native_seconds, 0.0) << cell.index;
+    EXPECT_EQ(cell.native_seconds, deck.cells[0].native_seconds) << cell.index;
+  }
 }
 
 TEST(RunSweep, CkptThreadsAndChunkSizeAreFirstClassAxes) {
