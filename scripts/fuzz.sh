@@ -85,10 +85,11 @@ for workload in $WORKLOADS; do
   # Silent-corruption deck (flip:SEED[:BITS]): each seed lands one seeded
   # bit-flip WITHOUT raising, a multi-bit variant stresses the bit-position
   # stream, and a flip^ckpt_chunk chain composes the silent head with a
-  # fail-stop tail killing the next checkpoint save. Every outcome the classifier knows — detected and
-  # corrected in place, detected and rolled back, honest silent miss — counts
-  # as ok; only a detected-and-rolled-back run that still fails verify (a
-  # broken recovery path) or an ERROR cell fails the deck.
+  # fail-stop tail killing the next checkpoint save. Every outcome the
+  # classifier knows — detected and corrected in place, detected and rolled
+  # back, honest silent miss — counts as ok; only a detected-and-rolled-back
+  # run that still fails verify (a broken recovery path) or an ERROR cell
+  # fails the deck.
   for ((seed = START; seed < START + SEEDS; ++seed)); do
     crash="flip:$seed+flip:$seed:$((seed % 3 + 2))+flip:$seed^point:ckpt_chunk:$((seed % 4 + 1))"
     echo "fuzz: workload=$workload seed=$seed (flip)"

@@ -413,10 +413,11 @@ ScenarioConfig cell_config(const Workload& workload, Mode mode, const CrashScena
 /// The baseline is a function of everything except the durability-only axes:
 /// mode and crash are forced to native/none in the baseline run, policy and
 /// cache_mb (dropped from its options) only configure the alg-* engines the
-/// native run never executes, and the checkpoint-engine knobs (threads/chunking/async, the disk device model)
-/// configure a backend the native run never builds. Cells differing only in
-/// those share one baseline — which also keeps self-relative gates (e.g. the
-/// ckpt_async overhead ratio) free of native-measurement noise between cells.
+/// native run never executes, and the checkpoint-engine knobs
+/// (threads/chunking/async, the disk device model) configure a backend the
+/// native run never builds. Cells differing only in those share one
+/// baseline — which also keeps self-relative gates (e.g. the ckpt_async
+/// overhead ratio) free of native-measurement noise between cells.
 /// The shard axes also drop out: the native baseline of a sharded cell is the
 /// single-rank run of the same problem, so "shards=4 overhead" is measured
 /// against the same denominator as "shards=1 overhead". Likewise the compute

@@ -16,8 +16,9 @@
 // Five axes are string-valued and never range-expanded: `workload` (registry
 // names; `all` = every registered workload), `mode` (mode names or `all` = the
 // paper's seven), `crash` (any parse_crash plan — plans contain ':' freely),
-// `policy` (the mc alg-* flush policy: basic | selective), and `backend` (kernel-backend registry names, validated eagerly —
-// `omp` in a build without -DADCC_OPENMP=ON is a parse error). Every other key
+// `policy` (the mc alg-* flush policy: basic | selective), and `backend`
+// (kernel-backend registry names, validated eagerly — `omp` in a build
+// without -DADCC_OPENMP=ON is a parse error). Every other key
 // is a generic per-cell option override handed to the workload factory (n, nz,
 // iters, rank, lookups, interval, nuclides, gridpoints, cache_mb, threads,
 // reps, seed, arena, slot, ...), so any knob a workload reads from Options is

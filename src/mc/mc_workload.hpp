@@ -86,8 +86,9 @@ class McWorkload final : public core::Workload {
   Tally tally() const;
 
  private:
-  bool selective() const { return cfg_.policy.value_or(XsFlushPolicy::kSelective) ==
-                                  XsFlushPolicy::kSelective; }
+  bool selective() const {
+    return cfg_.policy.value_or(XsFlushPolicy::kSelective) == XsFlushPolicy::kSelective;
+  }
   void alg_publish();
   void alg_announce_lookup(std::uint64_t i);
 
