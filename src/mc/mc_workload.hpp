@@ -20,7 +20,9 @@
 //   basic     — Fig. 9's "basic idea": flush only the progress line and trust
 //               MC's statistics; recovery keeps whatever working tallies the
 //               arena held. Under the crash emulator (--cache_mb) those are
-//               the stale lines NVM kept, so the tallies diverge (Fig. 10).
+//               the stale lines NVM kept, so the tallies diverge (Fig. 10);
+//               on the host-memory arena a mid-unit crash keeps the
+//               interrupted unit's lookups, which the restart counts again.
 #pragma once
 
 #include <array>
