@@ -2,7 +2,8 @@
 // seven durability modes x any crash plan x any swept parameter axis, one
 // binary, one process.
 //
-//   adccbench --list
+//   adccbench --list                    # workloads and named decks
+//   adccbench --deck=fig4 --quick       # a paper figure, ablation or pinned deck
 //   adccbench --workload=cg --mode=alg-nvm/dram --crash=step:7
 //   adccbench --workload=mm --mode=all --reps=3
 //   adccbench --workload=cg --mode=all --crash=fuzz:17     # mid-unit fuzzing
@@ -15,9 +16,12 @@
 // Every run is a sweep deck: the scalar --workload/--mode/--crash flags are
 // injected as axes when --sweep doesn't name them (--matrix is shorthand for
 // workload=all), so `--workload=cg --mode=all` is the 7-cell deck it reads
-// as. Decks execute in one process — optionally on --sweep_jobs worker
-// threads with per-cell isolated checkpoint scratch dirs — and one crashed
-// cell reports ERROR in its row instead of killing the deck.
+// as. --deck=NAME starts from a declared deck instead (kDecks below): flags
+// still override its options, a flag naming one of its axes replaces that
+// axis, and --sweep axes replace or extend them. Decks execute in one process
+// — optionally on --sweep_jobs worker threads with per-cell isolated
+// checkpoint scratch dirs — and one crashed cell reports ERROR in its row
+// instead of killing the deck.
 //
 // Unless --no_baseline is passed, a native run of each distinct problem shape
 // is timed once and its cells are normalized against it (the paper's y-axis).
@@ -28,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/check.hpp"
@@ -51,6 +56,262 @@ const std::filesystem::path& scratch_dir() {
   return dir;
 }
 
+/// A named deck, declared once: its --sweep axes and base options
+/// ("key=value ..."), what --quick overlays on them (axes replace the
+/// same-named axes, options the same-named options), the banner and footnote
+/// of its plain table, and whether every cell must crash.
+struct Deck {
+  const char* name;
+  const char* title;
+  const char* about;
+  const char* footnote = nullptr;
+  const char* axes;
+  const char* options = "";
+  const char* quick_axes = nullptr;
+  const char* quick_options = "";
+  /// Recomputation decks: a cell whose crash plan never fired (a typo'd point
+  /// name, an occurrence past the run) measured nothing and fails the deck.
+  bool must_crash = false;
+};
+
+const Deck kDecks[] = {
+    // Paper setup: crash at Fig. 2 line 10 in the 15th iteration of NPB CG,
+    // under the crash emulator with an 8 MB LLC (Xeon E5606-like); detect and
+    // resume are normalized by the mean pre-crash iteration. Small classes
+    // (S, W) lose all 15 iterations because their working set never leaves the
+    // cache; large ones (B, C) lose 1.
+    {.name = "fig3",
+     .title = "Fig. 3",
+     .about = "CG recomputation cost vs NPB class, crash at line 10 of iteration 15, "
+              "8 MB simulated LLC",
+     .footnote = "Paper reference: classes S/W lose all 15 iterations; classes B/C lose 1;\n"
+                 "recomputation (normalized by one CG iteration) shrinks as the input grows.",
+     .axes = "workload=cg,mode=alg-nvm,class=S+W+A+B+C,crash=point:cg:p_updated:15",
+     .options = "iters=15 cache_mb=8 no_baseline=1",
+     .quick_axes = "class=S+W+A",
+     .must_crash = true},
+    // Paper setup: NPB CG class C, durability at the end of every iteration.
+    // CG runs on the serial kernel backend: the paper's compute/durability
+    // balance comes from a 2.13 GHz 2009 Xeon, and a many-core SpMV would make
+    // every fixed durability cost look relatively larger (--backend=omp
+    // --threads=N runs parallel kernels).
+    {.name = "fig4",
+     .title = "Fig. 4",
+     .about = "CG runtime under the seven durability modes, per-iteration durability, "
+              "normalized to native",
+     .footnote = "Paper reference (class C): ckpt-disk +60.4%, ckpt-nvm +4.2%, ckpt-nvm/dram "
+                 "+43.6%,\npmem-tx +329%, algorithm-directed < 3%.",
+     .axes = "workload=cg,mode=all,crash=none",
+     .options = "n=150000 iters=15 reps=3 warmup=1",
+     .quick_options = "n=14000 reps=1"},
+    // Paper setup: n in {2000..8000}, rank 400, crash at the end of the 4th
+    // submatrix multiplication (loop 1) or addition (loop 2). The sizes are
+    // scaled (emulating every byte of an 8000^2 product is not CI-able); the
+    // temporal-matrix : LLC ratio sweep is preserved. The crash points land
+    // before the unit's checksum flushes, so the crashed unit counts as redone.
+    {.name = "fig7",
+     .title = "Fig. 7",
+     .about = "ABFT-MM recomputation cost, crash at the end of submatrix multiplication / "
+              "addition #4, rank 64, 8 MB simulated LLC",
+     .footnote = "Paper reference (rank 400): n=2000 loses ~2 submatrix multiplications, larger\n"
+                 "sizes lose 1; the loop-2 crash always loses 1 submatrix addition.",
+     .axes = "workload=mm,mode=alg-nvm,n=512+768+1024+1280,"
+             "crash=point:mm:loop1_end:4+point:mm:loop2_end:4",
+     .options = "rank=64 cache_mb=8 seed=7 no_baseline=1",
+     .quick_axes = "n=384+512",
+     .must_crash = true},
+    // Paper setup: n = 8000, ranks {200, 400, 1000}, durability at the end of
+    // every submatrix multiplication. The matrix is scaled and the ranks by
+    // the same ratio, so the panels per product (40/20/8) match the paper's.
+    {.name = "fig8",
+     .title = "Fig. 8",
+     .about = "ABFT-MM runtime under the seven durability modes per rank, normalized to the "
+              "native ABFT GEMM",
+     .footnote = "Paper reference (n=8000): algorithm-directed overhead 8.2% (rank 200) ->\n"
+                 "1.3% (rank 1000); NVM checkpoint >= 21.8% at rank 200; PMEM ~5.5x.",
+     .axes = "workload=mm,rank=25+50+125,mode=all,crash=none",
+     .options = "n=1000 reps=2 warmup=1",
+     .quick_axes = "rank=25+125",
+     .quick_options = "n=500 reps=1"},
+    // Paper §III-B model check: once the per-iteration working set exceeds
+    // the cache, evictions persist older history rows and recomputation is
+    // bounded by ~1 iteration; a cache holding the whole history loses
+    // everything. The n/nz defaults put that boundary inside the swept range.
+    {.name = "ablation_cg_cachesize",
+     .title = "Ablation",
+     .about = "CG iterations lost vs simulated LLC size",
+     .footnote = "Expected: iterations lost grow with cache capacity — the opportunistic\n"
+                 "eviction persistence the paper relies on needs working set >> LLC.",
+     .axes = "workload=cg,mode=alg-nvm,cache_mb=1:64:x2,crash=point:cg:p_updated:15",
+     .options = "n=14000 nz=11 iters=15 no_baseline=1",
+     .quick_axes = "cache_mb=1+4+16",
+     .quick_options = "n=4000",
+     .must_crash = true},
+    // Paper §III-C: "a larger rank size results in a smaller runtime overhead,
+    // because the algorithm does not need to frequently flush checksum cache
+    // blocks". Single-threaded, as Fig. 8.
+    {.name = "ablation_mm_rank",
+     .title = "Ablation",
+     .about = "algorithm-directed ABFT-MM overhead vs rank",
+     .footnote = "Expected: overhead falls as the rank grows (fewer checksum flushes and\n"
+                 "fewer temporal matrices), the paper's 8.2% -> 1.3% trend.",
+     .axes = "workload=mm,mode=alg-nvm,rank=25+50+100+200+400,crash=none",
+     .options = "n=800 reps=2 threads=1",
+     .quick_axes = "rank=25+100+400",
+     .quick_options = "n=400 reps=1"},
+    // Paper §III-D: flushing the tallies every iteration cost ~16 %; every
+    // 0.01 % of lookups was free. This regenerates the trade-off curve.
+    {.name = "ablation_xs_flushfreq",
+     .title = "Ablation",
+     .about = "XSBench overhead vs tally-flush interval",
+     .footnote = "Expected: overhead falls as the flush interval grows. Paper: flushing\n"
+                 "every iteration ~16%; every 0.01% of lookups, ~0.05%.",
+     .axes = "workload=mc,mode=alg-nvm,interval=1+4+16+64+256+1024+8192,crash=none",
+     .options = "lookups=1000000 nuclides=24 gridpoints=500 reps=3 seed=5",
+     .quick_axes = "interval=1+64+1024",
+     .quick_options = "lookups=200000 reps=1"},
+
+    // The pinned perf decks: scripts/bench_matrix.sh writes each to
+    // BENCH_<name>.json, and scripts/bench_check.py gates it against the
+    // checked-in baseline. Their shapes are pinned (workloads, sizes, reps,
+    // throttle defaults): compare them across commits, not across machines.
+    // --quick shrinks each to a smoke-sized run that verifies its results.
+    //
+    // Every workload under every mode with a mid-run crash pass too, so both
+    // steady-state overhead and recovery cost stay on the trajectory.
+    {.name = "sweep",
+     .title = "Pinned deck",
+     .about = "every workload x every mode, crash-free and step:2",
+     .axes = "workload=all,mode=all,crash=none+step:2",
+     .options = "quick=1 reps=3",
+     .quick_options = "reps=1"},
+    // Durability-engine scaling: 3 CG iterations checkpointing a 67 MB
+    // payload (3 vectors of n=2.8M doubles) per unit to ckpt-disk under the
+    // default 150 MB/s device model. ckpt_threads=1 is the synchronous path;
+    // higher values pipeline chunk serialization + CRC against the device
+    // window. Gated: threads=4 beats threads=1.
+    {.name = "ckpt_threads",
+     .title = "Pinned deck",
+     .about = "checkpoint write-pipeline scaling, 67 MB CG payload on ckpt-disk",
+     .axes = "workload=cg,mode=ckpt-disk,ckpt_threads=1:8:x2,crash=none",
+     .options = "n=2800000 nz=8 iters=3 reps=3 no_baseline=1 verify=off",
+     .quick_options = "n=20000 reps=1 verify=on"},
+    // Async checkpointing: the same 67 MB payload (denser matrix, nz=16, so
+    // each unit carries a real compute window for the drain to hide behind),
+    // ckpt_async=0 vs =1 at ckpt_threads=1, isolating the overlap win from
+    // the pipeline win. With a native baseline: gated on async's normalized
+    // overhead being <= 0.90x the synchronous scheme's.
+    {.name = "ckpt_async",
+     .title = "Pinned deck",
+     .about = "async vs sync checkpointing, 67 MB CG payload on ckpt-disk",
+     .axes = "workload=cg,mode=ckpt-disk,ckpt_async=0+1,crash=none",
+     .options = "n=2800000 nz=16 iters=3 reps=3 verify=off",
+     .quick_options = "n=20000 reps=1 verify=on"},
+    // Multi-shard engine: the same CG problem on ckpt-disk, single-rank
+    // (shards=1) vs a 4-shard coordinated group. Both cells share the
+    // single-rank native baseline (baseline_key drops the shard axis), so the
+    // normalized columns compare the coordinated-snapshot protocol's cost —
+    // per-shard slots plus the global marker commit — directly against the
+    // monolithic checkpoint path. Gated on the 4-shard overhead ratio.
+    {.name = "shards",
+     .title = "Pinned deck",
+     .about = "single-rank vs 4-shard coordinated checkpoints on ckpt-disk",
+     .axes = "workload=cg,mode=ckpt-disk,shards=1+4,crash=none",
+     .options = "n=2800000 nz=8 iters=3 reps=3 verify=off",
+     .quick_options = "n=20000 reps=1 verify=on"},
+    // Kernel-backend scaling: the SpMV-dominated CG shape with no durability
+    // work (mode=native isolates the compute win) crossed over
+    // backend=serial+omp x threads=1:8:x2. Needs an -DADCC_OPENMP=ON build
+    // (--list shows it as not runnable otherwise). Gated on the omp rows only
+    // (serial rows ignore the threads axis), procs-aware.
+    {.name = "threads",
+     .title = "Pinned deck",
+     .about = "serial vs omp kernel-backend scaling, CG SpMV shape",
+     .axes = "workload=cg,mode=native,backend=serial+omp,threads=1:8:x2,crash=none",
+     .options = "n=2800000 nz=8 iters=3 reps=3 no_baseline=1 verify=off",
+     .quick_options = "n=20000 reps=1 verify=on"},
+    // Per-chunk compression: the 67 MB payload under a SLOW device model
+    // (disk_mbps=25) and a dense matrix (nz=48), crossed over
+    // ckpt_compress=none+lz x ckpt_async_depth=1+2. The codec's CPU cost hides
+    // inside the device-throttle window (2 pipeline workers: one compresses
+    // while the other waits on the bandwidth bucket), and the dense compute
+    // raises the hidden share of the drain, so the stored-byte cut lands
+    // almost fully on the exposed overhead. With a native baseline: gated on
+    // the lz cells' normalized overhead being <= 0.85x their none
+    // counterparts per ring depth.
+    {.name = "ckpt_compress",
+     .title = "Pinned deck",
+     .about = "per-chunk lz compression vs none, async ckpt-disk at 25 MB/s",
+     .axes = "workload=cg,mode=ckpt-disk,ckpt_compress=none+lz,ckpt_async_depth=1+2,crash=none",
+     .options = "ckpt_async=1 ckpt_threads=2 disk_mbps=25 n=2800000 nz=48 iters=3 reps=3 "
+                "verify=off",
+     .quick_options = "n=20000 reps=1 verify=on"},
+};
+
+/// Replaces each of `top`'s axes in `spec` in place, appending the new keys.
+void overlay(core::SweepSpec& spec, core::SweepSpec top) {
+  for (core::SweepAxis& axis : top.axes) {
+    auto same = std::find_if(spec.axes.begin(), spec.axes.end(),
+                             [&](const core::SweepAxis& a) { return a.key == axis.key; });
+    if (same != spec.axes.end()) {
+      *same = std::move(axis);
+    } else {
+      spec.axes.push_back(std::move(axis));
+    }
+  }
+}
+
+/// The deck's axes for this run (--quick overlaid), with every flag that
+/// names one of them replacing it; merges the deck's base options into `opts`
+/// under the flags the user passed. False with a message on a bad axis.
+bool resolve_deck(const Deck& deck, Options& opts, core::SweepSpec& spec, std::string* error) {
+  const bool quick = opts.get_bool("quick");
+  auto axes = core::parse_sweep(deck.axes, error);
+  if (!axes) return false;
+  if (quick && deck.quick_axes != nullptr) {
+    auto quick_axes = core::parse_sweep(deck.quick_axes, error);
+    if (!quick_axes) return false;
+    overlay(*axes, std::move(*quick_axes));
+  }
+  for (core::SweepAxis& axis : axes->axes) {
+    if (!opts.has(axis.key)) continue;
+    auto flag = core::make_axis(axis.key, opts.get(axis.key, ""), error);
+    if (!flag) return false;
+    axis = std::move(*flag);
+  }
+  spec = std::move(*axes);
+  // The first setting of a key wins: the user's flags, then --quick's options.
+  for (const char* list : {quick ? deck.quick_options : "", deck.options}) {
+    std::istringstream words(list);
+    for (std::string word; words >> word;) {
+      const std::string key = word.substr(0, word.find('='));
+      if (!opts.has(key)) opts.set(key, word.substr(key.size() + 1));
+    }
+  }
+  return true;
+}
+
+void print_list() {
+  auto& registry = core::WorkloadRegistry::instance();
+  std::printf("workloads (--workload=NAME):\n");
+  for (const auto& name : registry.names()) {
+    std::printf("  %-6s %s\n", name.c_str(), registry.description(name).c_str());
+  }
+  std::printf("\ndecks (--deck=NAME [--quick]):\n");
+  std::string unavailable;
+  for (const Deck& deck : kDecks) {
+    std::string why;
+    if (core::parse_sweep(deck.axes, &why)) {
+      std::printf("  %-22s %s: %s\n", deck.name, deck.title, deck.about);
+    } else {
+      unavailable += std::string("  ") + deck.name + ": " + why + "\n";
+    }
+  }
+  if (!unavailable.empty()) {
+    std::printf("\nnot runnable in this build:\n%s", unavailable.c_str());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -70,9 +331,14 @@ int main(int argc, char** argv) try {
       .doc("sweep",
            "axis grid: key=v1+v2,key=lo:hi[:step|:xF],... (axes: workload, mode, "
            "crash, policy, backend, and any workload option key)")
+      .doc("deck",
+           "run a named deck (see --list): a paper figure, an ablation or a pinned "
+           "perf deck, CI-sized with --quick; flags override its options, a flag "
+           "naming one of its axes replaces that axis, and --sweep axes replace "
+           "or extend them")
       .doc("sweep_jobs", "worker threads executing deck cells", "1")
       .doc("matrix", "run every registered workload x every mode", "off")
-      .doc("list", "list registered workloads and exit")
+      .doc("list", "list registered workloads and named decks, and exit")
       .doc("format", "table output: table | csv | json", "table")
       .doc("out", "also write the table to this file (format from extension)")
       .doc("no_timing", "blank wall-clock columns (byte-stable serial vs parallel)", "off")
@@ -87,6 +353,9 @@ int main(int argc, char** argv) try {
       .doc("quick", "CI-sized problem defaults", "off")
       .doc("n", "problem size for cg/mm (rows / matrix dim)")
       .doc("nz", "cg: nonzeros per row", "15")
+      .doc("class",
+           "cg: NPB problem class S | W | A | B | C, setting n and nz (an "
+           "explicit --n/--nz wins)")
       .doc("iters", "cg: iteration count", "15")
       .doc("rank", "mm: panel rank k")
       .doc("backend",
@@ -131,10 +400,6 @@ int main(int argc, char** argv) try {
            "cg/mm/mc: split the run across N in-process shards with coordinated "
            "global snapshots (sweepable axis; 1 = single-rank engine)",
            "1")
-      .doc("shard_stagger",
-           "rotate the per-epoch shard save order so drains stagger across the "
-           "device window (sweepable axis)",
-           "off")
       .doc("seed", "problem seed");
   if (opts.maybe_print_help("adccbench")) return 0;
 
@@ -169,26 +434,38 @@ int main(int argc, char** argv) try {
     }
   }
 
-  auto& registry = core::WorkloadRegistry::instance();
   if (opts.get_bool("list")) {
-    for (const auto& name : registry.names()) {
-      std::printf("%-6s %s\n", name.c_str(), registry.description(name).c_str());
-    }
+    print_list();
     return 0;
   }
 
-  // Build the deck: the --sweep axes, with the scalar flags injected as axes
-  // when absent so the single-scenario and --matrix spellings are the same
-  // engine path (--matrix is workload=all).
+  // Build the deck: a named deck's axes, overlaid with the --sweep axes, with
+  // the scalar flags injected as axes when absent so the single-scenario and
+  // --matrix spellings are the same engine path (--matrix is workload=all).
   std::string error;
   core::SweepSpec spec;
+  const Deck* deck = nullptr;
+  if (opts.has("deck")) {
+    for (const Deck& named : kDecks) {
+      if (opts.get("deck", "") == named.name) deck = &named;
+    }
+    if (deck == nullptr) {
+      std::fprintf(stderr, "adccbench: unknown --deck '%s' (try --list)\n",
+                   opts.get("deck", "").c_str());
+      return 2;
+    }
+    if (!resolve_deck(*deck, opts, spec, &error)) {
+      std::fprintf(stderr, "adccbench: deck '%s': %s\n", deck->name, error.c_str());
+      return 2;
+    }
+  }
   if (opts.has("sweep")) {
     auto parsed = core::parse_sweep(opts.get("sweep", ""), &error);
     if (!parsed) {
       std::fprintf(stderr, "adccbench: bad --sweep: %s\n", error.c_str());
       return 2;
     }
-    spec = std::move(*parsed);
+    overlay(spec, std::move(*parsed));
   }
   auto inject = [&](const char* key, const std::string& value, bool front) -> bool {
     if (spec.find(key) != nullptr) return true;
@@ -228,15 +505,23 @@ int main(int argc, char** argv) try {
   cfg.telemetry = !opts.get_bool("no_timing") || trace != nullptr;
   cfg.trace = trace;
 
-  if (*format == core::TableFormat::kPlain) {
-    core::print_banner("adccbench", "sweep " + spec.canonical() + " (" +
-                                        std::to_string(spec.cells()) + " cells)");
+  const bool plain = *format == core::TableFormat::kPlain;
+  const std::string sweep =
+      "sweep " + spec.canonical() + " (" + std::to_string(spec.cells()) + " cells)";
+  if (plain && deck != nullptr) {
+    core::print_banner(deck->title, deck->about);
+    std::printf("%s\n", sweep.c_str());
+  } else if (plain) {
+    core::print_banner("adccbench", sweep);
   }
 
-  const core::SweepResult deck = core::run_sweep(spec, cfg);
+  const core::SweepResult result = core::run_sweep(spec, cfg);
   const bool timing = !opts.get_bool("no_timing");
-  const core::Table table = deck.table(timing);
+  const core::Table table = result.table(timing);
   table.print(*format);
+  if (plain && deck != nullptr && deck->footnote != nullptr) {
+    std::printf("\n%s\n", deck->footnote);
+  }
 
   if (opts.has("out")) {
     const std::filesystem::path path = opts.get("out", "");
@@ -256,16 +541,28 @@ int main(int argc, char** argv) try {
     trace->write_chrome_trace(out);
   }
 
-  if (*format == core::TableFormat::kPlain) {
+  std::size_t uncrashed = 0;
+  for (const core::SweepCellResult& cell : result.cells) {
+    if (deck == nullptr || !deck->must_crash ||
+        cell.status != core::SweepCellResult::Status::kOk || cell.result.crashes > 0) {
+      continue;
+    }
+    std::fprintf(stderr, "adccbench: deck '%s': crash plan '%s' never fired in cell %zu\n",
+                 deck->name, cell.crash_label.c_str(), cell.index);
+    ++uncrashed;
+  }
+  const bool ok = result.all_ok() && uncrashed == 0;
+
+  if (plain) {
     std::printf("\nSWEEP %s (%zu cells: %zu ok, %zu verify-failed, %zu errors)\n",
-                deck.all_ok() ? "OK" : "FAILED", deck.cells.size(),
-                deck.count(core::SweepCellResult::Status::kOk),
-                deck.count(core::SweepCellResult::Status::kVerifyFailed),
-                deck.count(core::SweepCellResult::Status::kError));
+                ok ? "OK" : "FAILED", result.cells.size(),
+                result.count(core::SweepCellResult::Status::kOk),
+                result.count(core::SweepCellResult::Status::kVerifyFailed),
+                result.count(core::SweepCellResult::Status::kError));
   }
   std::error_code ec;
   std::filesystem::remove_all(scratch_dir(), ec);
-  return deck.all_ok() ? 0 : 1;
+  return ok ? 0 : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "adccbench: %s\n", e.what());
   std::error_code ec;

@@ -60,6 +60,6 @@ int main() {
               "recomputed — and *algorithm knowledge* (invariants, checksums,\n"
               "statistics) is how the real solvers in this library decide which.\n",
               consistent, data.size());
-  std::printf("\nNext: examples/cg_solver, examples/abft_matmul, examples/mc_transport.\n");
+  std::printf("\nNext: examples/cg_solver, examples/abft_matmul, bench/fig10_12_xs_tallies.\n");
   return 0;
 }

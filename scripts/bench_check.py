@@ -78,11 +78,14 @@ STAGE_DENOM_COLS = ("t_stage", "t_crc", "t_comp", "t_io")
 # zero so old baselines keep gating, but a blank "-" still means unmeasured.
 OPTIONAL_STAGE_COLS = ("t_comp",)
 
-# Columns that are measurements, not cell identity.
+# Columns that are measurements, not cell identity. The silent-flip outcomes
+# (flips/detected/detect_lat/miscorr) are outcomes like lost and torn, and
+# decks pinned before they existed must still match decks that carry them.
 MEASUREMENT_COLS = {
     "cell", "units", "seconds", "normalized", "overhead", "lost", "partial",
     "corrected", "torn", "salvaged", "overlap", "detect/unit", "resume/unit",
-    "victims", "epochs_rb", "replayed", "halo_kb", "status", *STAGE_COLS,
+    "victims", "epochs_rb", "replayed", "halo_kb", "flips", "detected",
+    "detect_lat", "miscorr", "status", *STAGE_COLS,
 }
 
 
@@ -462,6 +465,14 @@ def self_test():
     old = deck("old.json", old_rows)
     expect("budget-old-deck", run(old, old, "--stage-budget", "t_crc=0.35"),
            0, "stage budget t_crc worst 10.0%")
+    # A deck carrying the silent-flip outcome columns still matches a
+    # baseline pinned before they existed: they are measurements, not keys.
+    flip_rows = [stage_row("ckpt-disk", "0.0400", "0.0200", "0.1400")]
+    for row in flip_rows:
+        row.update({"flips": "0", "detected": "0", "detect_lat": "-", "miscorr": "0"})
+    flip = deck("flip.json", flip_rows)
+    pre_flip = deck("pre_flip.json", [stage_row("ckpt-disk", "0.0400", "0.0200", "0.1400")])
+    expect("flip-cols-are-measurements", run(flip, pre_flip), 0, "bench_check OK: 1 cells")
     # And in a current deck t_comp joins the denominator: 0.02 / 0.25 = 8%.
     comp = deck("comp.json", [
         stage_row("ckpt-disk", "0.0400", "0.0200", "0.1400", "0.0500"),

@@ -35,9 +35,22 @@ std::size_t cg_workload_arena_bytes(std::size_t n, std::size_t iters) {
 
 CgWorkloadConfig cg_workload_config(const Options& opts) {
   const bool quick = opts.get_bool("quick");
+  linalg::CgProblemShape shape{quick ? 2000u : 14000u, 15};
+  if (opts.has("class")) {
+    const std::string name = opts.get("class", "");
+    bool known = false;
+    for (const linalg::CgClass cls : {linalg::CgClass::S, linalg::CgClass::W, linalg::CgClass::A,
+                                      linalg::CgClass::B, linalg::CgClass::C}) {
+      if (linalg::name_of(cls) != name) continue;
+      shape = linalg::shape_of(cls);
+      known = true;
+    }
+    ADCC_CHECK(known, ("unknown NPB class for --class: '" + name + "' (want S | W | A | B | C)")
+                          .c_str());
+  }
   CgWorkloadConfig cfg;
-  cfg.n = opts.get_size("n", quick ? 2000 : 14000);
-  cfg.nz_per_row = opts.get_size("nz", 15);
+  cfg.n = opts.get_size("n", shape.n);
+  cfg.nz_per_row = opts.get_size("nz", shape.nz_per_row);
   cfg.iters = opts.get_size("iters", quick ? 10 : 15);
   cfg.matrix_seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
   cfg.cache_bytes = opts.get_size("cache_mb", 0) << 20;
@@ -485,7 +498,7 @@ ADCC_REGISTER_WORKLOAD(
                    "cache_mb: the crash emulator runs only under unsharded alg-* engines");
         return std::make_unique<core::ShardGroup>(
             std::make_unique<CgShardPlan>(cfg),
-            core::ShardGroupConfig{shards, opts.get_bool("shard_stagger", false)},
+            core::ShardGroupConfig{shards},
             [cfg]() -> std::unique_ptr<core::Workload> {
               return std::make_unique<CgWorkload>(cfg);
             });

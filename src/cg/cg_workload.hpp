@@ -45,8 +45,9 @@ struct CgWorkloadConfig {
   std::size_t cache_ways = 16;      ///< Emulated cache associativity.
 };
 
-/// Builds the config from CLI options (--n, --nz, --iters, --cache_mb,
-/// --quick).
+/// Builds the config from CLI options (--n, --nz, --class, --iters,
+/// --cache_mb, --quick). --class=S|W|A|B|C takes n and nz from the NPB class
+/// (linalg::shape_of); an explicit --n or --nz wins over it.
 CgWorkloadConfig cg_workload_config(const Options& opts);
 
 class CgWorkload final : public core::Workload {

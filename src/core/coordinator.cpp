@@ -27,15 +27,14 @@ GroupCoordinator::GroupCoordinator(checkpoint::Backend& backend, FaultSurface* f
 }
 
 void GroupCoordinator::commit_epoch(
-    std::uint64_t epoch, std::span<const std::size_t> order,
+    std::uint64_t epoch,
     const std::vector<std::unique_ptr<checkpoint::CheckpointSet>>& shard_ckpts) {
   ADCC_CHECK(shard_ckpts.size() == versions_.size(), "coordinator/shard count mismatch");
-  ADCC_CHECK(order.size() == versions_.size(), "drain order must cover every shard");
   {
     // coord/join is where a stalled drain shows up: the barrier that makes
     // every shard's epoch image durable before the marker may reference it.
     const StageTimer timer("coord/join");
-    for (const std::size_t i : order) {
+    for (std::size_t i = 0; i < shard_ckpts.size(); ++i) {
       // The join is what makes this shard's epoch image durable; only then may
       // the marker reference its version.
       shard_ckpts[i]->wait_durable();

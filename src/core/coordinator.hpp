@@ -8,7 +8,7 @@
 // exact slot version that holds that shard's epoch image. The commit order is
 // strict:
 //
-//     for each shard (in the epoch's drain order):
+//     for each shard, in shard order:
 //         join the shard's drain            -> its slot image is durable
 //         record its committed slot version
 //         [crash site "shard_join"]
@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "checkpoint/checkpoint_set.hpp"
@@ -64,11 +63,11 @@ class GroupCoordinator {
   };
 
   /// Commits `epoch` as the group's restart point: joins every shard's
-  /// outstanding drain in `order` (the epoch's rotating drain schedule),
-  /// records the committed slot versions, then saves the marker. Throws (a
-  /// crash site firing, a medium failure) leave the previous marker committed;
-  /// call reload() during recovery to realign the in-memory table.
-  void commit_epoch(std::uint64_t epoch, std::span<const std::size_t> order,
+  /// outstanding drain in shard order, records the committed slot versions,
+  /// then saves the marker. Throws (a crash site firing, a medium failure)
+  /// leave the previous marker committed; call reload() during recovery to
+  /// realign the in-memory table.
+  void commit_epoch(std::uint64_t epoch,
                     const std::vector<std::unique_ptr<checkpoint::CheckpointSet>>& shard_ckpts);
 
   /// Restores the newest committed marker into the in-memory table and

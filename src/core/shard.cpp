@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <numeric>
 #include <utility>
 
 #include "common/check.hpp"
@@ -173,20 +172,9 @@ bool ShardGroup::run_step() {
   return true;
 }
 
-std::vector<std::size_t> ShardGroup::save_order(std::size_t epoch) const {
-  std::vector<std::size_t> order(parts_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (cfg_.stagger && !order.empty()) {
-    std::rotate(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(epoch % order.size()),
-                order.end());
-  }
-  return order;
-}
-
 void ShardGroup::commit_pending() {
   const std::size_t e = *pending_epoch_;
-  const std::vector<std::size_t> order = save_order(e);
-  coordinator_->commit_epoch(e, order, ckpts_);
+  coordinator_->commit_epoch(e, ckpts_);
   pending_epoch_.reset();
   // Nothing can need exchange entries at or before the committed epoch: every
   // shard's durable image is now >= e.
@@ -205,8 +193,7 @@ void ShardGroup::make_durable() {
   // the newest save by at most one epoch — exactly what the two-slot buffer
   // can roll back.
   if (pending_epoch_) commit_pending();
-  const std::vector<std::size_t> order = save_order(u);
-  for (const std::size_t i : order) {
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
     parts_[i]->on_save(u);
     saved_version_[i] = ckpts_[i]->save();
     last_saved_epoch_[i] = u;
@@ -214,7 +201,7 @@ void ShardGroup::make_durable() {
   if (async_) {
     pending_epoch_ = u;
   } else {
-    coordinator_->commit_epoch(u, order, ckpts_);
+    coordinator_->commit_epoch(u, ckpts_);
     exchange_.trim(u);
   }
 }
@@ -294,8 +281,7 @@ std::size_t ShardGroup::replay(std::size_t i, std::size_t from) {
 
 void ShardGroup::reform_commit() {
   const std::size_t u = done_;
-  const std::vector<std::size_t> order = save_order(u);
-  for (const std::size_t i : order) {
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
     // A shard's epoch-u image is intact if it took that save and the slot
     // version it produced was not rolled back by an aborted/failed drain.
     const bool intact =
@@ -305,7 +291,7 @@ void ShardGroup::reform_commit() {
     saved_version_[i] = ckpts_[i]->save();
     last_saved_epoch_[i] = u;
   }
-  coordinator_->commit_epoch(u, order, ckpts_);
+  coordinator_->commit_epoch(u, ckpts_);
   pending_epoch_.reset();
   exchange_.trim(u);
 }

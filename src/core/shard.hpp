@@ -10,9 +10,9 @@
 // ShardExchange (publish/fetch keyed by unit x tag x shard). Durability is a
 // two-level protocol: per-shard saves (reusing the chunked sync/async drain
 // engine unchanged), then a *global* epoch commit by the GroupCoordinator that
-// joins every shard's drain — optionally in a rotating, staggered order — and
-// only then writes the tiny global marker naming the committed per-shard slot
-// versions (see coordinator.hpp for the commit-ordering invariant).
+// joins every shard's drain and only then writes the tiny global marker naming
+// the committed per-shard slot versions (see coordinator.hpp for the
+// commit-ordering invariant).
 //
 // Crash scopes (scenario.hpp's shard:/shards:/coord: plan families):
 //   - kShards: only the victim shards lose state. Survivors keep their live
@@ -137,12 +137,9 @@ class ShardPlan {
   virtual void tune_env(Mode mode, ModeEnvConfig& cfg, std::size_t count) const = 0;
 };
 
-/// Group shape: shard count and the optional staggered drain schedule.
+/// Group shape: the shard count.
 struct ShardGroupConfig {
   std::size_t shards = 1;
-  /// Rotate the per-epoch save/join order by (epoch mod N) so drains stagger
-  /// across epochs instead of always queueing in shard order.
-  bool stagger = false;
 };
 
 /// The Workload implementation that runs a ShardPlan as a coordinated group.
@@ -182,7 +179,6 @@ class ShardGroup final : public Workload {
 
  private:
   Workload& ensure_fallback() const;
-  std::vector<std::size_t> save_order(std::size_t epoch) const;
   void commit_pending();
   /// Re-executes shard `i`'s units (from, done_] through every phase against
   /// the retained exchange; returns the number of units replayed.

@@ -431,7 +431,7 @@ std::string baseline_key(const std::string& workload,
     if (k == "mode" || k == "crash" || k == "policy" || k == "cache_mb" ||
         k == "ckpt_threads" || k == "ckpt_chunk_kb" || k == "ckpt_async" || k == "ckpt_compress" ||
         k == "ckpt_async_depth" || k == "ckpt_dirty_commit" || k == "disk_mbps" ||
-        k == "shards" || k == "shard_stagger" || k == "backend" || k == "threads") {
+        k == "shards" || k == "backend" || k == "threads") {
       continue;
     }
     key += '\x1f' + k + '=' + v;

@@ -335,7 +335,7 @@ ADCC_REGISTER_WORKLOAD(
                    "under unsharded alg-* engines");
         return std::make_unique<core::ShardGroup>(
             std::make_unique<McShardPlan>(cfg),
-            core::ShardGroupConfig{shards, opts.get_bool("shard_stagger", false)},
+            core::ShardGroupConfig{shards},
             [cfg]() -> std::unique_ptr<core::Workload> {
               return std::make_unique<McWorkload>(cfg);
             });

@@ -542,7 +542,7 @@ ADCC_REGISTER_WORKLOAD(
                    "cache_mb: the crash emulator runs only under unsharded alg-* engines");
         return std::make_unique<core::ShardGroup>(
             std::make_unique<MmShardPlan>(cfg),
-            core::ShardGroupConfig{shards, opts.get_bool("shard_stagger", false)},
+            core::ShardGroupConfig{shards},
             [cfg]() -> std::unique_ptr<core::Workload> {
               return std::make_unique<MmWorkload>(cfg);
             });

@@ -151,6 +151,30 @@ TEST(CgAdapter, HeteroCheckpointChargesNvmBandwidthNvmOnlyDoesNot) {
   EXPECT_GT(injected[1], 0.8 * expected);
 }
 
+TEST(CgAdapter, ClassOptionSetsTheNpbShapeUnlessNIsExplicit) {
+  Options opts;
+  opts.set("quick", "1").set("class", "A");
+  cg::CgWorkloadConfig cfg = cg::cg_workload_config(opts);
+  EXPECT_EQ(cfg.n, 14000u);
+  EXPECT_EQ(cfg.nz_per_row, 11u);
+
+  opts.set("n", "3000");
+  cfg = cg::cg_workload_config(opts);
+  EXPECT_EQ(cfg.n, 3000u);
+  EXPECT_EQ(cfg.nz_per_row, 11u);
+}
+
+TEST(CgAdapter, UnknownClassIsRejectedNamingTheKey) {
+  Options opts;
+  opts.set("class", "Q");
+  try {
+    cg::cg_workload_config(opts);
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("--class: 'Q'"), std::string::npos) << e.what();
+  }
+}
+
 // ------------------------------------------------------------------- MM --
 
 mm::MmWorkloadConfig mm_config(std::size_t n, std::size_t rank_k) {

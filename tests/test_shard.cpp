@@ -125,24 +125,24 @@ mc::McWorkloadConfig tiny_mc() {
   return cfg;
 }
 
-std::unique_ptr<ShardGroup> cg_group(std::size_t shards, bool stagger = false) {
+std::unique_ptr<ShardGroup> cg_group(std::size_t shards) {
   const cg::CgWorkloadConfig cfg = tiny_cg();
   return std::make_unique<ShardGroup>(
-      std::make_unique<cg::CgShardPlan>(cfg), ShardGroupConfig{shards, stagger},
+      std::make_unique<cg::CgShardPlan>(cfg), ShardGroupConfig{shards},
       [cfg]() -> std::unique_ptr<Workload> { return std::make_unique<cg::CgWorkload>(cfg); });
 }
 
 std::unique_ptr<ShardGroup> mm_group(std::size_t shards) {
   const mm::MmWorkloadConfig cfg = tiny_mm();
   return std::make_unique<ShardGroup>(
-      std::make_unique<mm::MmShardPlan>(cfg), ShardGroupConfig{shards, false},
+      std::make_unique<mm::MmShardPlan>(cfg), ShardGroupConfig{shards},
       [cfg]() -> std::unique_ptr<Workload> { return std::make_unique<mm::MmWorkload>(cfg); });
 }
 
 std::unique_ptr<ShardGroup> mc_group(std::size_t shards) {
   const mc::McWorkloadConfig cfg = tiny_mc();
   return std::make_unique<ShardGroup>(
-      std::make_unique<mc::McShardPlan>(cfg), ShardGroupConfig{shards, false},
+      std::make_unique<mc::McShardPlan>(cfg), ShardGroupConfig{shards},
       [cfg]() -> std::unique_ptr<Workload> { return std::make_unique<mc::McWorkload>(cfg); });
 }
 
@@ -290,20 +290,13 @@ TEST(ShardGroup, SurvivorsNeverRecomputeVictimReplaysOwnDelta) {
 
 // ----------------------------------------------------- group round trips --
 
-TEST(ShardGroup, AdaptersVerifyAcrossScopesAndStagger) {
-  struct Case {
-    const char* crash;
-    bool stagger;
-  };
-  const Case cases[] = {{"none", true},
-                        {"shard:0:step:2", false},
-                        {"shards:2:5:step:3", true},
-                        {"coord:point:global_commit", false}};
-  for (const Case& c : cases) {
-    auto cg = cg_group(3, c.stagger);
+TEST(ShardGroup, AdaptersVerifyAcrossScopes) {
+  for (const char* crash :
+       {"none", "shard:0:step:2", "shards:2:5:step:3", "coord:point:global_commit"}) {
+    auto cg = cg_group(3);
     ScenarioConfig cfg = group_config(*cg, Mode::kCkptDisk, "adcc_shard_roundtrip");
-    cfg.crash = *parse_crash(c.crash);
-    EXPECT_TRUE(run_scenario(*cg, cfg).verified) << "cg " << c.crash;
+    cfg.crash = *parse_crash(crash);
+    EXPECT_TRUE(run_scenario(*cg, cfg).verified) << "cg " << crash;
   }
   for (const char* crash : {"shard:0:step:2", "coord:point:global_commit"}) {
     auto mm = mm_group(4);
