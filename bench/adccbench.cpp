@@ -374,8 +374,6 @@ int main(int argc, char** argv) try {
            "off")
       .doc("seed_a", "mm: seed of matrix A", "seed")
       .doc("seed_b", "mm: seed of matrix B", "seed+1")
-      .doc("arena", "NVM arena bytes override (e.g. 64M, 1G)")
-      .doc("slot", "checkpoint slot bytes override (e.g. 16M)")
       .doc("ckpt_threads", "checkpoint write-pipeline workers (sweepable axis)", "1")
       .doc("ckpt_chunk_kb", "checkpoint chunk payload size, KB (sweepable axis)", "256")
       .doc("ckpt_async",

@@ -8,7 +8,6 @@
 #include "checkpoint/nvm_backend.hpp"
 #include "common/align.hpp"
 #include "nvm/dram_cache.hpp"
-#include "nvm/epoch.hpp"
 #include "nvm/flush.hpp"
 #include "nvm/nvm_region.hpp"
 #include "pmemtx/tx.hpp"
@@ -150,9 +149,8 @@ void BM_CheckpointSaveNvm(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointSaveNvm)->Range(4096, 4 << 20);
 
-// Persist N scattered checksum-sized ranges: one fence per range (the paper's
-// CLFLUSH discipline) vs one fence per epoch (Pelley-style batching, the
-// related-work optimization the paper points at for ABFT-MM checksums).
+// Persist N scattered checksum-sized ranges, one flush + fence per range: the
+// paper's CLFLUSH discipline for the ABFT-MM checksums.
 void BM_PersistPerRange(benchmark::State& state) {
   const auto ranges = static_cast<std::size_t>(state.range(0));
   nvm::NvmRegion region((ranges + 2) * 4096, fast_model());
@@ -164,20 +162,6 @@ void BM_PersistPerRange(benchmark::State& state) {
                           static_cast<std::int64_t>(ranges));
 }
 BENCHMARK(BM_PersistPerRange)->Range(8, 1024);
-
-void BM_PersistEpochBatched(benchmark::State& state) {
-  const auto ranges = static_cast<std::size_t>(state.range(0));
-  nvm::NvmRegion region((ranges + 2) * 4096, fast_model());
-  auto span = region.allocate<std::byte>(ranges * 4096);
-  nvm::EpochPersister ep(region);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < ranges; ++i) ep.stage(span.data() + i * 4096, 64);
-    ep.commit_epoch();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ranges));
-}
-BENCHMARK(BM_PersistEpochBatched)->Range(8, 1024);
 
 }  // namespace
 

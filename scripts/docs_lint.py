@@ -9,10 +9,12 @@ Three checks, run from anywhere (the repo root is derived from this file):
      links into docs/.
   2. Intra-docs links: every relative markdown link in README.md and the
      docs/ tree (the `[text](path)` form, optionally with a `#fragment`)
-     must resolve to a file that exists — the docs cross-link heavily
-     (README -> docs/*, BACKENDS <-> OBSERVABILITY <-> SWEEP), and a renamed
-     file must not leave dangling references. External (scheme://) and
-     pure-fragment links are out of scope.
+     must resolve to a file that exists, and its fragment (a bare `#x`
+     names the linking file itself) to one of the target's headings under
+     GitHub's heading-slug rule — the docs cross-link heavily (README ->
+     docs/*, BACKENDS <-> OBSERVABILITY <-> SWEEP), and a renamed file or
+     heading must not leave dangling references. External (scheme://) links
+     are out of scope.
   3. Public-header docs: every top-level `struct X {` / `class X {`
      definition in the PUBLIC_HEADERS list is immediately preceded by a
      comment line (`///` or `//`), so the API surface cannot silently grow
@@ -64,6 +66,11 @@ DECL = re.compile(r"^(?:struct|class)\s+(\w+)")
 # to resolution). Reference-style links are not used in this docs tree.
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
+# ATX headings (`## Title`, optional closing #s) and code-fence delimiters,
+# inside which a leading '#' is not a heading.
+HEADING = re.compile(r"^ {0,3}#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
+FENCE = re.compile(r"^ {0,3}(?:```|~~~)")
+
 
 def check_docs_tree(failures):
     for rel in REQUIRED_DOCS:
@@ -79,17 +86,48 @@ def check_docs_tree(failures):
         failures.append("README.md: does not link into docs/")
 
 
+def heading_slug(text):
+    """GitHub's anchor for a heading: the rendered text (a link shows its
+    label) lowercased, every character but letters, digits, '_', '-' and
+    spaces dropped, and each space turned into a '-'."""
+    text = re.sub(r"!?\[([^\]]*)\]\([^)]*\)", r"\1", text)
+    return re.sub(r"[^\w\- ]", "", text.lower()).replace(" ", "-")
+
+
+def heading_anchors(path):
+    """The fragments `path`'s headings answer to; GitHub suffixes a repeated
+    slug with -1, -2, ... in document order."""
+    anchors, seen, in_fence = set(), {}, False
+    for line in path.read_text().splitlines():
+        if FENCE.match(line):
+            in_fence = not in_fence
+            continue
+        m = None if in_fence else HEADING.match(line)
+        if not m:
+            continue
+        slug = heading_slug(m.group(1))
+        repeat = seen.get(slug, 0)
+        anchors.add(f"{slug}-{repeat}" if repeat else slug)
+        seen[slug] = repeat + 1
+    return anchors
+
+
 def check_links(rel, failures):
     path = ROOT / rel
     if not path.is_file():
         return  # check_docs_tree already reported it.
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         for target in MD_LINK.findall(line):
-            if "://" in target or target.startswith(("mailto:", "#")):
+            if "://" in target or target.startswith("mailto:"):
                 continue
-            resolved = (path.parent / target.partition("#")[0]).resolve()
+            file_part, _, fragment = target.partition("#")
+            resolved = (path.parent / file_part).resolve() if file_part else path
             if not resolved.exists():
                 failures.append(f"{rel}:{lineno}: dangling link '{target}'")
+            elif (fragment and resolved.suffix == ".md"
+                  and fragment not in heading_anchors(resolved)):
+                failures.append(f"{rel}:{lineno}: link '{target}' names no heading "
+                                f"of {resolved.relative_to(ROOT)}")
 
 
 def check_header(rel, failures):

@@ -171,4 +171,13 @@ void rebuild_checksums(Matrix& cf) {
   }
 }
 
+Matrix strip_checksums(const Matrix& cf) {
+  ADCC_CHECK(cf.rows() >= 2 && cf.cols() >= 2, "not a checksum matrix");
+  Matrix c(cf.rows() - 1, cf.cols() - 1);
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) c(i, j) = cf(i, j);
+  }
+  return c;
+}
+
 }  // namespace adcc::abft

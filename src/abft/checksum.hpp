@@ -66,4 +66,7 @@ std::size_t try_correct(linalg::Matrix& cf, const ChecksumReport& report,
 /// its data elements (used when *building* matrices, never for verification).
 void rebuild_checksums(linalg::Matrix& cf);
 
+/// Strips checksums: returns the m×n data part of a full-checksum matrix.
+linalg::Matrix strip_checksums(const linalg::Matrix& cf);
+
 }  // namespace adcc::abft

@@ -83,7 +83,7 @@ void CgWorkload::prepare(core::ModeEnv& env) {
   env_ = &env;
   done_ = 0;
   crashed_done_ = 0;
-  fault_.bind(nullptr);  // Software-counted unless the alg engine emulates.
+  fault_.reset();  // Software-counted unless the alg engine emulates.
   // Drop any previous mode's checkpoint set: its backend reference dies with
   // the old env, and a stale async_pending flag must not leak into this run.
   ckpt_.reset();

@@ -196,18 +196,6 @@ void Backend::acknowledge_drain_failure() {
   ring_->failed = false;
 }
 
-std::optional<SaveReceipt> Backend::join_drain() {
-  std::optional<SaveReceipt> last;
-  std::exception_ptr first_error;
-  while (drains_pending() > 0) {
-    DrainOutcome out = take_drain_outcome();
-    if (out.error && !first_error) first_error = out.error;
-    if (out.receipt) last = std::move(out.receipt);
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return last;
-}
-
 void Backend::abort_drain() noexcept {
   if (!ring_) return;
   Ring& r = *ring_;

@@ -228,9 +228,6 @@ class Backend {
   /// Queued + running + completed-but-unconsumed drain jobs.
   std::size_t drains_pending() const;
 
-  /// True while any asynchronous save is still in the ring.
-  bool drain_pending() const { return drains_pending() > 0; }
-
   /// Blocks for the OLDEST ring entry's outcome and consumes it. After a
   /// failed job, the jobs queued behind it are returned as `skipped` (they
   /// never touched their slots). Must not be called with an empty ring.
@@ -241,11 +238,6 @@ class Backend {
   /// that arrive after the failure (the enqueuer raced the error) — the
   /// stop-at-first-failure contract covers the whole failure window.
   void acknowledge_drain_failure();
-
-  /// Drains the whole ring: consumes every outcome, returns the last receipt
-  /// (nullopt when the ring was empty or nothing committed) and rethrows the
-  /// FIRST error — with that job's slot torn and its marker uncommitted.
-  std::optional<SaveReceipt> join_drain();
 
   /// Power-failure emulation: cooperatively cancels the in-flight drain job
   /// (the remaining chunks are never written; the slot stays torn with the

@@ -60,7 +60,9 @@ Options::Options(int argc, char** argv) {
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     if (eq == std::string_view::npos) {
-      kv_[std::string(arg)] = "1";
+      // A bare flag means "1". Assigned as one character: `= "1"` trips
+      // GCC 12's -Wrestrict false positive (GCC bug 105651).
+      kv_[std::string(arg)].assign(1, '1');
     } else {
       kv_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
     }

@@ -37,7 +37,7 @@ class Options {
   /// "0", "false", "off" and "no" are falsey; any other value is true.
   bool get_bool(const std::string& key, bool fallback = false) const;
 
-  /// Size in bytes (or any count) with K/M/G/T suffix support: --arena=64M.
+  /// Size in bytes (or any count) with K/M/G/T suffix support: --lookups=1M.
   /// Throws ContractViolation on malformed values.
   std::size_t get_size(const std::string& key, std::size_t fallback) const;
 

@@ -1,29 +1,8 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace adcc {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double median(std::vector<double> xs) {
   if (xs.empty()) return 0.0;
@@ -33,11 +12,6 @@ double median(std::vector<double> xs) {
   if (xs.size() % 2 == 1) return hi;
   std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(mid) - 1, xs.end());
   return 0.5 * (hi + xs[mid - 1]);
-}
-
-double rel_diff(double a, double b, double eps) {
-  const double denom = std::max({std::fabs(a), std::fabs(b), eps});
-  return std::fabs(a - b) / denom;
 }
 
 }  // namespace adcc

@@ -1,34 +1,11 @@
 // Small statistics helpers for benchmark reporting.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace adcc {
 
-/// Welford running mean/variance.
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const;  ///< Sample variance (n-1 denominator); 0 if n < 2.
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Median of a copy of `xs` (empty → 0).
 double median(std::vector<double> xs);
-
-/// Relative difference |a-b| / max(|a|,|b|, eps).
-double rel_diff(double a, double b, double eps = 1e-300);
 
 }  // namespace adcc

@@ -9,7 +9,7 @@
 //   adcc::pmemtx     — undo-log transactions (PMEM-library baseline)
 //   adcc::checkpoint — disk/NVM/hetero checkpoint backends
 //   adcc::linalg     — CSR/dense kernels, SPD generator
-//   adcc::abft       — checksum encodings + ABFT GEMM
+//   adcc::abft       — checksum encodings, verification and correction
 //   adcc::cg         — CG solver and its seven-mode adapter (Fig. 2 history
 //                      arrays in the alg-* engine)
 //   adcc::mm         — ABFT-MM: seven-mode adapter (Fig. 6 two-loop
@@ -26,7 +26,6 @@
 //                      mc::McWorkload.
 #pragma once
 
-#include "abft/abft_gemm.hpp"
 #include "abft/checksum.hpp"
 #include "cg/cg.hpp"
 #include "cg/cg_workload.hpp"
@@ -61,10 +60,8 @@
 #include "memsim/cache.hpp"
 #include "memsim/crash.hpp"
 #include "memsim/memsim.hpp"
-#include "memsim/tracked.hpp"
 #include "mm/mm_workload.hpp"
 #include "nvm/dram_cache.hpp"
-#include "nvm/epoch.hpp"
 #include "nvm/flush.hpp"
 #include "nvm/nvm_region.hpp"
 #include "nvm/perf_model.hpp"

@@ -84,7 +84,6 @@ class GroupCoordinator {
   std::size_t last_restore_torn() const { return marker_.last_restore().torn_chunks; }
 
   std::uint64_t epoch() const { return epoch_; }
-  std::uint64_t shard_version(std::size_t i) const { return versions_[i]; }
   std::size_t shards() const { return versions_.size(); }
 
  private:

@@ -23,13 +23,10 @@ constexpr std::uint64_t kFlipSiteSpread = 4;
 FaultSurface::FaultSurface() = default;
 FaultSurface::~FaultSurface() = default;
 
-void FaultSurface::bind(memsim::MemorySimulator* sim) {
+void FaultSurface::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (owned_ && owned_.get() != sim) {
-    owned_.reset();
-    inputs_.clear();
-  }
-  sim_ = sim;
+  sim_.reset();
+  inputs_.clear();
   scheduler_.disarm();
   accesses_ = 0;
   flip_armed_.store(false, std::memory_order_relaxed);
@@ -38,9 +35,8 @@ void FaultSurface::bind(memsim::MemorySimulator* sim) {
 }
 
 void FaultSurface::emulate(const memsim::CacheConfig& cache) {
-  auto sim = std::make_unique<memsim::MemorySimulator>(cache);
-  bind(sim.get());  // Drops the previous emulator and its inputs.
-  owned_ = std::move(sim);
+  reset();  // Drops the previous emulator and its inputs.
+  sim_ = std::make_unique<memsim::MemorySimulator>(cache);
 }
 
 void FaultSurface::track_bytes(std::string name, void* data, std::size_t bytes) {
@@ -149,14 +145,6 @@ std::uint64_t FaultSurface::access_count() const {
   if (sim_ != nullptr) return sim_->access_count();
   std::lock_guard<std::mutex> lock(mu_);
   return accesses_;
-}
-
-void FaultSurface::reset_counter() {
-  std::lock_guard<std::mutex> lock(mu_);
-  accesses_ = 0;
-  flip_armed_.store(false, std::memory_order_relaxed);
-  flip_fired_.store(false, std::memory_order_relaxed);
-  flip_stats_ = {};
 }
 
 void FaultSurface::tick(std::uint64_t accesses) {

@@ -5,11 +5,10 @@
 //
 // Two backings share one arming interface:
 //
-//  * software-counted — a native-speed workload adapter owns an unbound
-//    surface and instruments its run_step engines with tick(accesses) /
-//    point(name) calls at sub-unit sites. The surface drives a private
-//    CrashScheduler and throws memsim::CrashException when the armed trigger
-//    fires.
+//  * software-counted — a native-speed workload adapter owns the surface and
+//    instruments its run_step engines with tick(accesses) / point(name) calls
+//    at sub-unit sites. The surface drives a private CrashScheduler and
+//    throws memsim::CrashException when the armed trigger fires.
 //
 //  * emulated — an algorithm-directed engine run with `cache_mb` calls
 //    emulate(): the surface then owns a memsim::MemorySimulator (the paper's
@@ -95,8 +94,8 @@ class SilentFaultDetected : public std::runtime_error {
 };
 
 /// Silent-fault accounting: what a flip: arming did and how the workload's
-/// defenses responded. Monotonic within one prepared run (reset_counter
-/// clears it); read by ScenarioRunner's per-iteration poll.
+/// defenses responded. Monotonic within one prepared run (reset() clears
+/// it); read by ScenarioRunner's per-iteration poll.
 struct FlipStats {
   std::uint64_t flips = 0;          ///< Corrupt events fired (one-shot: 0 or 1).
   std::uint64_t bits = 0;           ///< Bit positions XOR-flipped by the event.
@@ -114,22 +113,23 @@ class FaultSurface {
   FaultSurface();
   ~FaultSurface();
 
-  /// Binds to (or, with nullptr, unbinds from) a simulator, dropping any
-  /// emulator the surface owned. While bound, arming forwards to
-  /// sim->scheduler(), tick() is a no-op (the simulator counts line accesses
-  /// itself) and point() forwards to sim->crash_point().
-  void bind(memsim::MemorySimulator* sim);
-  memsim::MemorySimulator* sim() const { return sim_; }
+  /// Back to software counting (workload prepare()): drops the emulator, if
+  /// any, disarms, and rewinds the access counter and any armed/fired flip.
+  void reset();
 
   // ---- Crash emulation (algorithm-directed engines under cache_mb) --------
 
   /// Starts a fresh crash emulator with an LRU cache of `cache`, owned by the
-  /// surface, and binds it. Regions registered with an earlier emulator are
-  /// forgotten with it.
+  /// surface; reset() first, so regions registered with an earlier emulator
+  /// are forgotten with it. While emulated, arming forwards to the
+  /// emulator's scheduler, tick() is a no-op (the emulator counts line
+  /// accesses itself) and point() forwards to its crash points.
   void emulate(const memsim::CacheConfig& cache);
 
-  /// True while bound to a simulator.
+  /// True while an emulator runs.
   bool emulated() const { return sim_ != nullptr; }
+  /// The emulator emulate() started, or nullptr.
+  memsim::MemorySimulator* sim() const { return sim_.get(); }
 
   /// Registers a cache-line aligned NVM-arena array with the emulator, zeroed
   /// first so the durable image starts empty. Registration order places the
@@ -215,24 +215,21 @@ class FaultSurface {
   /// thrown path itself.
   void report_detected(bool corrected);
 
-  /// Accesses announced so far: the simulator's line-granular count when
-  /// bound, else the sum of tick() weights since the last reset_counter().
+  /// Accesses announced so far: the emulator's line-granular count when
+  /// emulated, else the sum of tick() weights since the last reset().
   std::uint64_t access_count() const;
-
-  /// Rewinds the software access counter and clears any armed/fired flip
-  /// (workload prepare(); bound surfaces get a fresh simulator instead).
-  void reset_counter();
 
   // ---- Instrumentation (workload run_step side) ---------------------------
 
   /// Announces `accesses` memory accesses (element-granular approximations of
   /// the paper's "instructions"); throws memsim::CrashException if an armed
-  /// access trigger fires inside this batch. No-op while bound.
+  /// access trigger fires inside this batch. No-op while emulated.
   void tick(std::uint64_t accesses);
 
   /// Names a program point (the paper's crash-after-statement sites); throws
-  /// memsim::CrashException at the armed occurrence. While bound it forwards
-  /// to the simulator's crash_point, which crashes the cache as it throws.
+  /// memsim::CrashException at the armed occurrence. While emulated it
+  /// forwards to the emulator's crash_point, which crashes the cache as it
+  /// throws.
   void point(const char* name);
 
   /// Offers `bytes` of tracked workload state as a silent-corruption target.
@@ -254,9 +251,8 @@ class FaultSurface {
   void track_input_bytes(std::string name, const void* data, std::size_t bytes);
   void announce(const void* p, std::size_t bytes, bool is_write);
 
-  memsim::MemorySimulator* sim_ = nullptr;
-  /// The emulator emulate() started (sim_ points at it), if any.
-  std::unique_ptr<memsim::MemorySimulator> owned_;
+  /// The emulator emulate() started, if any.
+  std::unique_ptr<memsim::MemorySimulator> sim_;
   /// A read-only input and the aligned stand-in its announcements hit.
   struct Input {
     const std::byte* base = nullptr;

@@ -42,12 +42,6 @@ std::optional<Mode> parse_mode(std::string_view name) {
   return std::nullopt;
 }
 
-bool is_checkpoint_mode(Mode m) {
-  return m == Mode::kCkptDisk || m == Mode::kCkptNvm || m == Mode::kCkptHetero;
-}
-
-bool is_algorithm_mode(Mode m) { return m == Mode::kAlgNvm || m == Mode::kAlgHetero; }
-
 DurabilityKind durability_kind(Mode m) {
   switch (m) {
     case Mode::kNative: return DurabilityKind::kNone;

@@ -42,9 +42,6 @@ std::vector<Mode> all_modes();
 /// "alg-hetero" for the "...-nvm/dram" names). nullopt on unknown names.
 std::optional<Mode> parse_mode(std::string_view name);
 
-bool is_checkpoint_mode(Mode m);
-bool is_algorithm_mode(Mode m);
-
 /// The four durability-mechanism families behind the seven modes; workload
 /// adapters dispatch their per-mode engines on this instead of re-mapping the
 /// Mode enum themselves.

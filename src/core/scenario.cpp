@@ -419,22 +419,6 @@ std::vector<std::uint64_t> probe_fuzz_boundaries(Workload& workload, Mode mode,
   return at_boundary;
 }
 
-void ScenarioRunner::plan_fuzz(FaultSurface& fault) {
-  // Untimed probe repetition: run crash-free, recording the cumulative access
-  // count at every unit boundary, then pick a seeded random unit and a seeded
-  // random access inside it. Access announcements are deterministic, so the
-  // resulting plan is a pure function of (seed, workload, mode) — which is why
-  // sweep decks can hand a shared pre-measured probe in via
-  // cfg.fuzz_boundaries instead of paying this run per fuzz seed.
-  std::vector<std::uint64_t> at_boundary;
-  at_boundary.push_back(fault.access_count());
-  while (workload_.run_step()) {
-    workload_.make_durable();
-    at_boundary.push_back(fault.access_count());
-  }
-  fuzz_access_ = pick_fuzz_access(at_boundary, cfg_.crash.seed);
-}
-
 void ScenarioRunner::arm_fault(FaultSurface& fault) {
   switch (cfg_.crash.kind) {
     case CrashScenario::Kind::kAtAccess:
@@ -498,6 +482,19 @@ double ScenarioRunner::run_once(ScenarioResult& result) {
   // recomputation is always serial.
   const TelemetryBind telemetry_bind(cfg_.telemetry, cfg_.telemetry_label);
   const KernelBackendBind backend_bind(cfg_.backend);
+  const bool seeded_tick = cfg_.crash.kind == CrashScenario::Kind::kFuzz ||
+                           cfg_.crash.kind == CrashScenario::Kind::kFlip;
+  if (seeded_tick && fuzz_access_ == 0) {
+    // The seeded access is a pure function of (seed, workload, mode): a sweep
+    // deck hands in the unit boundaries it measured once for this cell shape;
+    // otherwise an untimed probe run on its own substrate measures them.
+    if (cfg_.fuzz_boundaries && cfg_.fuzz_boundaries->size() >= 2) {
+      fuzz_access_ = pick_fuzz_access(*cfg_.fuzz_boundaries, cfg_.crash.seed);
+    } else {
+      fuzz_access_ = pick_fuzz_access(probe_fuzz_boundaries(workload_, cfg_.mode, cfg_.env),
+                                      cfg_.crash.seed);
+    }
+  }
   ensure_env();
   workload_.prepare(*env_);
 
@@ -508,26 +505,7 @@ double ScenarioRunner::run_once(ScenarioResult& result) {
                "mid-unit crash plans (access/point/fuzz/flip) and double-fault chains "
                "need a workload with a fault surface");
   }
-  if (mid_unit) {
-    const bool seeded_tick = cfg_.crash.kind == CrashScenario::Kind::kFuzz ||
-                             cfg_.crash.kind == CrashScenario::Kind::kFlip;
-    if (seeded_tick && fuzz_access_ == 0) {
-      if (cfg_.fuzz_boundaries && cfg_.fuzz_boundaries->size() >= 2) {
-        // Shared probe: a sweep deck measured the unit boundaries once for
-        // this cell shape; every fuzz seed reuses them.
-        fuzz_access_ = pick_fuzz_access(*cfg_.fuzz_boundaries, cfg_.crash.seed);
-      } else {
-        plan_fuzz(*fault);
-        // The probe consumed this prepared run; rebuild substrate + run state
-        // so the measured repetition starts clean.
-        env_.reset();
-        ensure_env();
-        workload_.prepare(*env_);
-        fault = workload_.fault();
-      }
-    }
-    arm_fault(*fault);
-  }
+  if (mid_unit) arm_fault(*fault);
 
   // Shard-scoped plans resolve against the prepared group's shard count; the
   // scope holds for every crash of this run (chain links re-kill it too).

@@ -201,7 +201,6 @@ class ScenarioRunner {
   double run_once(ScenarioResult& result);
   void ensure_env();
   void arm_fault(FaultSurface& fault);
-  void plan_fuzz(FaultSurface& fault);
   WorkloadRecovery recover_with_chain(ScenarioResult& result, std::size_t& chain_pos);
 
   Workload& workload_;

@@ -105,8 +105,7 @@ void ShardGroup::prepare(ModeEnv& env) {
   scope_ = {};
   pending_epoch_.reset();
   exchange_.clear();
-  fault_.disarm();
-  fault_.reset_counter();
+  fault_.reset();
 
   const std::size_t n = cfg_.shards;
   progress_.assign(n, 0);

@@ -172,7 +172,6 @@ class ShardGroup final : public Workload {
   bool sharded() const { return !use_fallback_; }
   std::size_t phases() const;
   GroupCoordinator* coordinator() { return coordinator_.get(); }
-  checkpoint::CheckpointSet* shard_ckpt(std::size_t i) { return ckpts_[i].get(); }
   checkpoint::Backend* shard_backend(std::size_t i) { return shard_envs_[i]->backend.get(); }
   std::uint64_t shard_exec_steps(std::size_t i) const { return exec_steps_[i]; }
   ShardExchange& exchange() { return exchange_; }

@@ -402,8 +402,6 @@ ScenarioConfig cell_config(const Workload& workload, Mode mode, const CrashScena
              "--ckpt_dirty_commit is incompatible with shards > 1 (coordinated "
              "rollback needs exactly-committed slot versions)");
   workload.tune_env(mode, sc.env);
-  if (opts.has("arena")) sc.env.arena_bytes = opts.get_size("arena", sc.env.arena_bytes);
-  if (opts.has("slot")) sc.env.slot_bytes = opts.get_size("slot", sc.env.slot_bytes);
   sc.reps = std::max(1, static_cast<int>(opts.get_int("reps", 1)));
   sc.warmup = opts.get_bool("warmup", false);
   sc.verify = opts.get_bool("verify", true);

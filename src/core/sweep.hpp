@@ -13,15 +13,16 @@
 //   lo:hi:STEP   inclusive range, additive step   n=1000:5000:1000
 //   lo:hi:xF     geometric range, factor F ≥ 2    cache_mb=4:64:x2
 //
-// Five axes are string-valued and never range-expanded: `workload` (registry
+// Six axes are string-valued and never range-expanded: `workload` (registry
 // names; `all` = every registered workload), `mode` (mode names or `all` = the
 // paper's seven), `crash` (any parse_crash plan — plans contain ':' freely),
-// `policy` (the mc alg-* flush policy: basic | selective), and `backend`
+// `policy` (the mc alg-* flush policy: basic | selective), `backend`
 // (kernel-backend registry names, validated eagerly — `omp` in a build
-// without -DADCC_OPENMP=ON is a parse error). Every other key
+// without -DADCC_OPENMP=ON is a parse error), and `ckpt_compress` (codec
+// specs; `lz:2` would otherwise parse as a numeric range). Every other key
 // is a generic per-cell option override handed to the workload factory (n, nz,
 // iters, rank, lookups, interval, nuclides, gridpoints, cache_mb, threads,
-// reps, seed, arena, slot, ...), so any knob a workload reads from Options is
+// reps, seed, ...), so any knob a workload reads from Options is
 // sweepable without engine changes. `backend`/`threads` select the compute
 // kernels per cell (docs/BACKENDS.md); native baselines always run serially,
 // so every backend/thread cell of a shape shares one baseline.

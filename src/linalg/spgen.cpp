@@ -92,11 +92,6 @@ CsrMatrix make_spd(std::size_t n, std::size_t nz_per_row, std::uint64_t seed) {
   return CsrMatrix(n, std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
-CsrMatrix make_spd_class(CgClass cls, std::uint64_t seed) {
-  const auto [n, nz] = shape_of(cls);
-  return make_spd(n, nz, seed);
-}
-
 std::vector<double> make_rhs(std::size_t n, std::uint64_t seed) {
   SplitMix64 rng(seed);
   std::vector<double> b(n);

@@ -28,9 +28,6 @@ std::string name_of(CgClass cls);
 /// Generates a random sparse SPD matrix (deterministic in `seed`).
 CsrMatrix make_spd(std::size_t n, std::size_t nz_per_row, std::uint64_t seed = 42);
 
-/// Convenience: the matrix for an NPB class.
-CsrMatrix make_spd_class(CgClass cls, std::uint64_t seed = 42);
-
 /// Right-hand side with entries in [0,1) (deterministic in `seed`).
 std::vector<double> make_rhs(std::size_t n, std::uint64_t seed = 43);
 

@@ -66,7 +66,7 @@ void McWorkload::prepare(core::ModeEnv& env) {
   counters_ = dram_counters_;
   durable_units_ = 0;
   scratch_index_ = 0;
-  fault_.bind(nullptr);  // Software-counted unless the alg engine emulates.
+  fault_.reset();  // Software-counted unless the alg engine emulates.
   // Drop any previous mode's checkpoint set: its backend reference dies with
   // the old env, and a stale async_pending flag must not leak into this run.
   ckpt_.reset();

@@ -36,9 +36,8 @@ RegionId MemorySimulator::register_region(std::string name, void* base, std::siz
   ADCC_CHECK(bytes <= kMaxRegionBytes, "region exceeds the cache model's offset range");
   const auto addr = reinterpret_cast<std::uintptr_t>(base);
   ADCC_CHECK(addr % kCacheLine == 0, "regions must be cache-line aligned (use AlignedArray)");
-  // Reject overlap with any active region.
+  // Reject overlap with any registered region.
   for (const Region& r : regions_) {
-    if (!r.active) continue;
     const bool disjoint = addr + bytes <= r.base || r.base + r.bytes <= addr;
     ADCC_CHECK(disjoint, "regions must not overlap");
   }
@@ -57,27 +56,12 @@ RegionId MemorySimulator::register_region(std::string name, void* base, std::siz
   return id;
 }
 
-void MemorySimulator::unregister_region(RegionId id) {
-  ADCC_CHECK(id < regions_.size() && regions_[id].active, "unknown region");
-  by_base_.erase(regions_[id].base);
-  regions_[id].active = false;
-  regions_[id].durable = AlignedBuffer();
-}
-
-std::size_t MemorySimulator::num_regions() const {
-  std::size_t n = 0;
-  for (const Region& r : regions_) {
-    if (r.active) ++n;
-  }
-  return n;
-}
-
 MemorySimulator::Region* MemorySimulator::region_of(std::uintptr_t addr) {
   auto it = by_base_.upper_bound(addr);
   if (it == by_base_.begin()) return nullptr;
   --it;
   Region& r = regions_[it->second];
-  if (!r.active || addr < r.base || addr >= r.base + r.bytes) return nullptr;
+  if (addr < r.base || addr >= r.base + r.bytes) return nullptr;
   return &r;
 }
 
@@ -101,7 +85,7 @@ RegionId MemorySimulator::region_of_line(std::uintptr_t line) {
 void MemorySimulator::writeback_line(std::uintptr_t line) {
   const RegionId index = region_of_line(line);
   Region& r = regions_[index];
-  if (!r.active || r.read_only) return;
+  if (r.read_only) return;
   // Clip the 64B line to the region (regions are line-aligned; the final line
   // may be partially owned if bytes is not a line multiple).
   const std::size_t off = (line & kOffsetMask) - region_start(index);
@@ -174,16 +158,14 @@ void MemorySimulator::crash() {
 }
 
 void MemorySimulator::restore_region(RegionId id) {
-  ADCC_CHECK(id < regions_.size() && regions_[id].active, "unknown region");
+  ADCC_CHECK(id < regions_.size(), "unknown region");
   Region& r = regions_[id];
   if (r.read_only) return;  // Live bytes were never diverged for RO regions.
   std::memcpy(reinterpret_cast<void*>(r.base), r.durable.data(), r.bytes);
 }
 
 void MemorySimulator::restore_all() {
-  for (RegionId id = 0; id < regions_.size(); ++id) {
-    if (regions_[id].active) restore_region(id);
-  }
+  for (RegionId id = 0; id < regions_.size(); ++id) restore_region(id);
 }
 
 void MemorySimulator::durable_read(const void* p, void* out, std::size_t bytes) const {
@@ -217,19 +199,10 @@ void MemorySimulator::reset_after_crash() {
 
 std::vector<MemorySimulator::RegionCensus> MemorySimulator::dirty_line_census() const {
   std::vector<RegionCensus> out;
-  std::vector<std::size_t> index_of_region(regions_.size(), 0);
-  for (std::size_t i = 0; i < regions_.size(); ++i) {
-    if (!regions_[i].active) continue;
-    index_of_region[i] = out.size();
-    out.push_back({regions_[i].name, lines_spanned(reinterpret_cast<void*>(regions_[i].base),
-                                                   regions_[i].bytes),
-                   0});
+  for (const Region& r : regions_) {
+    out.push_back({r.name, lines_spanned(reinterpret_cast<void*>(r.base), r.bytes), 0});
   }
-  for (const std::uintptr_t line : cache_.dirty_lines()) {
-    const RegionId ri = region_of_line(line);
-    if (!regions_[ri].active) continue;  // Left behind by an unregistered region.
-    ++out[index_of_region[ri]].dirty_lines;
-  }
+  for (const std::uintptr_t line : cache_.dirty_lines()) ++out[region_of_line(line)].dirty_lines;
   return out;
 }
 

@@ -67,11 +67,6 @@ class MemorySimulator {
   RegionId register_region(std::string name, void* base, std::size_t bytes,
                            bool read_only = false);
 
-  /// Forgets a region (its durable image is dropped).
-  void unregister_region(RegionId id);
-
-  std::size_t num_regions() const;
-
   // ---- Access notification (the "PIN hooks") -----------------------------
 
   /// Announces a read/write of [p, p+bytes), which must lie inside one
@@ -146,7 +141,6 @@ class MemorySimulator {
   const SimStats& stats() const { return stats_; }
   const CacheStats& cache_stats() const { return cache_.stats(); }
   void reset_stats();
-  const CacheConfig& cache_config() const { return cache_.config(); }
 
   /// Total accesses so far (the crash-trigger "instruction" counter).
   std::uint64_t access_count() const { return stats_.accesses(); }
@@ -157,7 +151,6 @@ class MemorySimulator {
     std::uintptr_t base = 0;
     std::size_t bytes = 0;
     bool read_only = false;
-    bool active = true;
     AlignedBuffer durable;  ///< Empty for read-only regions.
   };
 
@@ -168,7 +161,7 @@ class MemorySimulator {
   /// The cache model's address for [p, p+bytes): region index and offset,
   /// independent of placement. Rejects untracked or region-crossing ranges.
   std::uintptr_t model_addr(const void* p, std::size_t bytes) const;
-  /// The region a cache-model line address belongs to (possibly inactive).
+  /// The region a cache-model line address belongs to.
   static RegionId region_of_line(std::uintptr_t line);
 
   void writeback_line(std::uintptr_t line);

@@ -86,7 +86,7 @@ void MmWorkload::prepare(core::ModeEnv& env) {
   env_ = &env;
   done_ = 0;
   crashed_done_ = 0;
-  fault_.bind(nullptr);  // Software-counted unless the alg engine emulates.
+  fault_.reset();  // Software-counted unless the alg engine emulates.
   // Drop any previous mode's checkpoint set: its backend reference dies with
   // the old env, and a stale async_pending flag must not leak into this run.
   ckpt_.reset();
@@ -250,7 +250,7 @@ bool MmWorkload::run_step() {
   switch (engine_) {
     case core::DurabilityKind::kNone: {
       // Fig. 5 line 2: verify Cf's checksum relationship before the update,
-      // attempting single-error correction on failure (abft_gemm semantics) —
+      // attempting single-error correction on failure (soft-error ABFT) —
       // the native-ABFT baseline cost the fig8 comparison normalizes against.
       const abft::ChecksumReport rep = abft::verify_full_checksums(cf_, cfg_.tol);
       fault_.tick(nc_ * nc_);

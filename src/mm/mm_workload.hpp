@@ -23,7 +23,7 @@
 #include <span>
 #include <vector>
 
-#include "abft/abft_gemm.hpp"
+#include "abft/checksum.hpp"
 #include "checkpoint/checkpoint_set.hpp"
 #include "common/options.hpp"
 #include "core/fault.hpp"

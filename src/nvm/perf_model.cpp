@@ -1,7 +1,6 @@
 #include "nvm/perf_model.hpp"
 
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/align.hpp"
@@ -61,19 +60,6 @@ double PerfModel::calibrate_dram_bandwidth() {
     if (secs > 0) best = std::max(best, 2.0 * static_cast<double>(kBytes) / secs);
   }
   return best > 0 ? best : 10e9;  // Fallback: assume 10 GB/s.
-}
-
-namespace {
-std::unique_ptr<PerfModel> g_default;
-}  // namespace
-
-PerfModel& default_perf_model() {
-  if (!g_default) g_default = std::make_unique<PerfModel>();
-  return *g_default;
-}
-
-void set_default_perf_model(const PerfConfig& cfg) {
-  g_default = std::make_unique<PerfModel>(cfg);
 }
 
 }  // namespace adcc::nvm

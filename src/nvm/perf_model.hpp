@@ -59,8 +59,4 @@ class PerfModel {
   PerfStats stats_;
 };
 
-/// Process-wide default model (benchmarks configure it once at startup).
-PerfModel& default_perf_model();
-void set_default_perf_model(const PerfConfig& cfg);
-
 }  // namespace adcc::nvm

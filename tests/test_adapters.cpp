@@ -193,28 +193,39 @@ linalg::Matrix mm_reference(const mm::MmWorkloadConfig& cfg) {
 }
 
 TEST(MmAdapter, AllSevenModesMatchGemmReference) {
-  const std::size_t n = 48, rank_k = 16;  // 3 panels.
-  const mm::MmWorkloadConfig cfg = mm_config(n, rank_k);
-  const linalg::Matrix ref = mm_reference(cfg);
-  mm::MmWorkload w(cfg);
-  for (Mode m : all_modes()) {
-    ModeEnv env = make_env(m, env_config(w, m));
-    run_to_end(w, env);
-    EXPECT_TRUE(w.verify()) << mode_name(m);
-    EXPECT_LT(linalg::Matrix::max_abs_diff(w.result(), ref), 1e-10) << mode_name(m);
-    // Checkpoint modes save the accumulator once per panel.
-    if (env.backend) {
-      EXPECT_EQ(env.backend->stats().saves, 3u) << mode_name(m);
-    }
-    if (is_algorithm_mode(m)) {
-      // Fig. 6's checksum flushes: per loop-1 panel the checksum row (one
-      // call) and the nc checksum-column entries, in loop 2 every row's
-      // checksum once; plus the progress counter after each unit and once in
-      // prepare().
-      const std::size_t panels = 3, nc = n + 1, blocks = (nc + rank_k - 1) / rank_k;
-      EXPECT_EQ(env.region->stats().persist_calls, panels * (1 + nc + 1) + (nc + blocks) + 1)
-          << mode_name(m);
-      EXPECT_GT(env.region->stats().persisted_lines, 0u) << mode_name(m);
+  // The native engine is Fig. 5's rank-k ABFT GEMM; every shape runs all seven
+  // modes: ranks that divide n and ranks that do not, rank 1 and one panel.
+  struct Shape {
+    std::size_t n, rank_k;
+  };
+  for (const Shape shape : {Shape{48, 16}, Shape{24, 8}, Shape{8, 1}, Shape{16, 4},
+                            Shape{20, 7}, Shape{32, 8}, Shape{33, 8}, Shape{48, 48}}) {
+    const std::size_t n = shape.n, rank_k = shape.rank_k;
+    SCOPED_TRACE("n=" + std::to_string(n) + " rank=" + std::to_string(rank_k));
+    const mm::MmWorkloadConfig cfg = mm_config(n, rank_k);
+    const linalg::Matrix ref = mm_reference(cfg);
+    mm::MmWorkload w(cfg);
+    const std::size_t panels = (n + rank_k - 1) / rank_k;
+    for (Mode m : all_modes()) {
+      ModeEnv env = make_env(m, env_config(w, m));
+      run_to_end(w, env);
+      EXPECT_TRUE(w.verify()) << mode_name(m);
+      EXPECT_LT(linalg::Matrix::max_abs_diff(w.result(), ref), 1e-10) << mode_name(m);
+      // Checkpoint modes save the accumulator once per panel.
+      if (env.backend) {
+        EXPECT_EQ(env.backend->stats().saves, panels) << mode_name(m);
+      }
+      if (durability_kind(m) == DurabilityKind::kAlgorithm) {
+        // Fig. 6's checksum flushes: per loop-1 panel the checksum row (one
+        // call) and the nc checksum-column entries, in loop 2 every row's
+        // checksum once; plus the progress counter after each unit and once
+        // in prepare().
+        const std::size_t nc = n + 1, blocks = (nc + rank_k - 1) / rank_k;
+        EXPECT_EQ(env.region->stats().persist_calls,
+                  panels * (1 + nc + 1) + (nc + blocks) + 1)
+            << mode_name(m);
+        EXPECT_GT(env.region->stats().persisted_lines, 0u) << mode_name(m);
+      }
     }
   }
 }
@@ -260,7 +271,7 @@ TEST(McAdapter, AllSevenModesMatchNativeTalliesExactly) {
     if (env.backend) {
       EXPECT_EQ(env.backend->stats().saves, units) << mode_name(m);
     }
-    if (is_algorithm_mode(m)) {
+    if (durability_kind(m) == DurabilityKind::kAlgorithm) {
       // Fig. 11 line 9: three flushed lines per interval, after the three
       // initial persists of prepare().
       EXPECT_EQ(env.region->stats().persist_calls, 3 * (units + 1)) << mode_name(m);

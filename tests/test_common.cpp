@@ -149,30 +149,9 @@ TEST(CounterRng, UniformRoughlyUniform) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
-TEST(RunningStats, MeanAndVariance) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, SingleSampleHasZeroVariance) {
-  RunningStats s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
 TEST(Median, OddCount) { EXPECT_DOUBLE_EQ(median({3, 1, 2}), 2.0); }
 TEST(Median, EvenCountAverages) { EXPECT_DOUBLE_EQ(median({4, 1, 3, 2}), 2.5); }
 TEST(Median, EmptyIsZero) { EXPECT_DOUBLE_EQ(median({}), 0.0); }
-
-TEST(RelDiff, SymmetricAndScaled) {
-  EXPECT_NEAR(rel_diff(100.0, 101.0), 1.0 / 101.0, 1e-12);
-  EXPECT_DOUBLE_EQ(rel_diff(0.0, 0.0), 0.0);
-}
 
 TEST(Options, ParsesKeyValueAndFlags) {
   const char* argv[] = {"prog", "--n=128", "--quick", "--ratio=2.5"};

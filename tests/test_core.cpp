@@ -20,13 +20,13 @@ TEST(Modes, SevenDistinctModesWithUniqueNames) {
 }
 
 TEST(Modes, Classification) {
-  EXPECT_TRUE(is_checkpoint_mode(Mode::kCkptDisk));
-  EXPECT_TRUE(is_checkpoint_mode(Mode::kCkptNvm));
-  EXPECT_TRUE(is_checkpoint_mode(Mode::kCkptHetero));
-  EXPECT_FALSE(is_checkpoint_mode(Mode::kAlgNvm));
-  EXPECT_TRUE(is_algorithm_mode(Mode::kAlgNvm));
-  EXPECT_TRUE(is_algorithm_mode(Mode::kAlgHetero));
-  EXPECT_FALSE(is_algorithm_mode(Mode::kNative));
+  EXPECT_EQ(durability_kind(Mode::kNative), DurabilityKind::kNone);
+  EXPECT_EQ(durability_kind(Mode::kCkptDisk), DurabilityKind::kCheckpoint);
+  EXPECT_EQ(durability_kind(Mode::kCkptNvm), DurabilityKind::kCheckpoint);
+  EXPECT_EQ(durability_kind(Mode::kCkptHetero), DurabilityKind::kCheckpoint);
+  EXPECT_EQ(durability_kind(Mode::kPmemTx), DurabilityKind::kTransaction);
+  EXPECT_EQ(durability_kind(Mode::kAlgNvm), DurabilityKind::kAlgorithm);
+  EXPECT_EQ(durability_kind(Mode::kAlgHetero), DurabilityKind::kAlgorithm);
 }
 
 TEST(Modes, ParseModeRoundTripsEveryName) {

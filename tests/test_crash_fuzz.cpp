@@ -10,10 +10,11 @@
 #include <string>
 
 #include "cg/cg_workload.hpp"
+#include "common/align.hpp"
 #include "common/rng.hpp"
 #include "core/scenario.hpp"
 #include "mc/mc_workload.hpp"
-#include "memsim/tracked.hpp"
+#include "memsim/memsim.hpp"
 #include "mm/mm_workload.hpp"
 
 namespace adcc {
@@ -101,7 +102,8 @@ TEST_P(SimOracleFuzz, DurableBoundedByFlushAndWriteHistory) {
   cache.size_bytes = 2 * 4 * kCacheLine;  // Tiny: lots of evictions.
   memsim::MemorySimulator sim(cache);
   constexpr std::size_t kElems = 64;  // 8 lines.
-  memsim::TrackedArray<double> arr(sim, "fuzz", kElems);
+  AlignedArray<double> arr(kElems);
+  sim.register_region("fuzz", arr.data(), kElems * sizeof(double));
 
   SplitMix64 rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 11);
   std::vector<double> last_written(kElems, 0.0);
@@ -118,21 +120,22 @@ TEST_P(SimOracleFuzz, DurableBoundedByFlushAndWriteHistory) {
     }
     if (action < 6) {  // Write a strictly increasing value per element.
       last_written[i] += 1.0;
-      arr.write(i, last_written[i]);
+      arr[i] = last_written[i];
+      sim.on_write(&arr[i], sizeof(double));
     } else if (action == 6) {
-      arr.flush(i, 1);
+      sim.clflush(&arr[i], sizeof(double));
       // Flushing element i persists its whole line: every element sharing the
       // line is now durable at its latest written value.
       const std::size_t line0 = (i / 8) * 8;
       for (std::size_t j = line0; j < line0 + 8; ++j) last_flushed[j] = last_written[j];
     } else {
-      arr.touch_read(i, 1);
+      sim.on_read(&arr[i], sizeof(double));
     }
   }
   sim.crash();  // Idempotent if the loop already crashed.
 
   for (std::size_t i = 0; i < kElems; ++i) {
-    const double d = arr.durable(i);
+    const double d = sim.durable_value(&arr[i]);
     EXPECT_GE(d, last_flushed[i]) << "element " << i << ": explicit flush forgotten";
     EXPECT_LE(d, last_written[i]) << "element " << i << ": NVM invented a value";
     // Values are integers by construction: durable must be one of them.

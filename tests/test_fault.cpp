@@ -1,5 +1,5 @@
 // Tests for the fault-injection engine: FaultSurface semantics (software
-// counting, point occurrences, one-shot firing, simulator binding, silent
+// counting, point occurrences, one-shot firing, emulator forwarding, silent
 // flips), a seeded property fuzz over the whole crash-plan grammar, and the
 // alg-* engines under the crash emulator driven through ScenarioRunner.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "core/scenario.hpp"
 #include "mc/mc_workload.hpp"
 #include "memsim/memsim.hpp"
-#include "memsim/tracked.hpp"
 #include "mm/mm_workload.hpp"
 #include "nvm/nvm_region.hpp"
 
@@ -46,7 +45,7 @@ TEST(FaultSurface, CountsTicksAndFiresAccessTrigger) {
   // One-shot: the trigger disarmed itself as it threw.
   EXPECT_FALSE(f.armed());
   f.tick(100);  // Must not throw again.
-  f.reset_counter();
+  f.reset();
   EXPECT_EQ(f.access_count(), 0u);
 }
 
@@ -77,27 +76,33 @@ TEST(FaultSurface, DisarmCancelsTrigger) {
 }
 
 TEST(FaultSurface, BindingForwardsArmingToSimulator) {
-  memsim::MemorySimulator sim;
-  memsim::TrackedArray<double> arr(sim, "t", 64);
+  AlignedArray<double> arr(64);
   FaultSurface f;
-  f.bind(&sim);
+  f.emulate({});
+  f.track("t", arr.span());
+  memsim::MemorySimulator& sim = *f.sim();
   f.arm_at_access(3);
   EXPECT_TRUE(sim.scheduler().armed());
   EXPECT_TRUE(f.armed());
-  // While bound, tick is inert — the simulator does the counting — and point
-  // forwards to the simulator's crash point, which an access trigger ignores.
+  // While emulated, tick is inert — the emulator does the counting — and
+  // point forwards to the emulator's crash point, which an access trigger
+  // ignores.
   f.tick(1000);
   f.point("anything");
   bool fired = false;
   try {
-    for (std::size_t i = 0; i < 64; ++i) arr.write(i, 1.0);
+    for (std::size_t i = 0; i < 64; ++i) {
+      arr[i] = 1.0;
+      f.write(&arr[i], sizeof(double));
+    }
   } catch (const memsim::CrashException&) {
     fired = true;
   }
   EXPECT_TRUE(fired);
   EXPECT_TRUE(sim.crashed());
   EXPECT_EQ(f.access_count(), sim.access_count());
-  f.bind(nullptr);
+  f.reset();
+  EXPECT_FALSE(f.emulated());
   EXPECT_EQ(f.access_count(), 0u);
 }
 
@@ -138,7 +143,7 @@ TEST(FaultSurfaceFlip, ArmFireDetectLifecycle) {
   EXPECT_EQ(st.detected, 2u);
   EXPECT_EQ(st.corrected, 1u);
 
-  f.reset_counter();  // prepare() path: everything rewinds.
+  f.reset();  // prepare() path: everything rewinds.
   EXPECT_FALSE(f.flip_active());
   EXPECT_EQ(f.flip_stats().flips, 0u);
 }
@@ -343,7 +348,7 @@ TEST(FaultSurface, EmulatedPowerFailKeepsOnlyFlushedLines) {
   f.power_fail();
   EXPECT_EQ(a[0], 1.0);  // Flushed: durable.
   EXPECT_EQ(b[0], 0.0);  // Still cache-resident at the crash: lost.
-  f.bind(nullptr);
+  f.reset();
   EXPECT_FALSE(f.emulated());
 }
 

@@ -119,8 +119,14 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmSweep,
                          ::testing::Values(GemmCase{16, 4}, GemmCase{17, 4}, GemmCase{32, 32},
                                            GemmCase{45, 7}, GemmCase{64, 16}, GemmCase{100, 33}),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param.n) + "_k" +
-                                  std::to_string(info.param.k);
+                           // Built up incrementally: the chained `"n" + str + ...`
+                           // spelling trips GCC 12's -Wrestrict false positive
+                           // (GCC bug 105651).
+                           std::string name = "n";
+                           name += std::to_string(info.param.n);
+                           name += "_k";
+                           name += std::to_string(info.param.k);
+                           return name;
                          });
 
 }  // namespace

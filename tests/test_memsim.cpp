@@ -127,16 +127,6 @@ TEST(MemSim, EmptyRegionRejected) {
   EXPECT_THROW(sim.register_region("x", a.data(), 0), ContractViolation);
 }
 
-TEST(MemSim, UnregisterFreesTheAddressRange) {
-  Fixture f;
-  f.sim.unregister_region(f.id);
-  EXPECT_EQ(f.sim.num_regions(), 0u);
-  // Re-registering the same range must now succeed.
-  const RegionId id2 = f.sim.register_region("again", f.buf.data(), 64);
-  EXPECT_DOUBLE_EQ(f.sim.durable_value(&f.buf[0]), f.buf[0]);
-  f.sim.unregister_region(id2);
-}
-
 TEST(MemSim, DurableReadOutsideRegionsThrows) {
   Fixture f;
   double x = 0;

@@ -1,5 +1,5 @@
 // Unit tests for the NVM substrate: flush primitives, perf throttle, arena,
-// DRAM cache, epoch-batched persistence.
+// DRAM cache.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,7 +12,6 @@
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "nvm/dram_cache.hpp"
-#include "nvm/epoch.hpp"
 #include "nvm/flush.hpp"
 #include "nvm/nvm_region.hpp"
 #include "nvm/perf_model.hpp"
@@ -177,8 +176,6 @@ TEST(NvmRegion, SpansCrossingTheArenaEndThrow) {
   DramCache dc(128 * kCacheLine, r);
   EXPECT_THROW(dc.write(tail, src.data(), 256), ContractViolation);
   EXPECT_EQ(dc.pending(), 0u);
-  EpochPersister ep(r);
-  EXPECT_THROW(ep.stage(tail, 256), ContractViolation);
   // A span ending exactly at the arena end is still arena memory.
   r.write_durable(tail, src.data(), 96);
   EXPECT_EQ(s[4095], std::byte{7});
@@ -244,59 +241,6 @@ TEST(DramCache, RejectsForeignDestination) {
   DramCache dc(128 * kCacheLine, r);
   double x = 0;
   EXPECT_THROW(dc.write(&x, &x, 8), ContractViolation);
-}
-
-TEST(DefaultPerfModel, Configurable) {
-  PerfConfig c;
-  c.dram_bw_bytes_per_s = 5e9;
-  c.bandwidth_slowdown = 2.0;
-  set_default_perf_model(c);
-  EXPECT_DOUBLE_EQ(default_perf_model().dram_bandwidth(), 5e9);
-  EXPECT_DOUBLE_EQ(default_perf_model().nvm_bandwidth(), 2.5e9);
-}
-
-// ---- EpochPersister ----
-
-TEST(Epoch, StageThenCommitFlushesOnce) {
-  PerfModel m = fast_model();
-  NvmRegion region(1u << 20, m);
-  auto a = region.allocate<double>(64);
-  auto b = region.allocate<double>(64);
-  EpochPersister ep(region);
-  ep.stage(a.data(), a.size_bytes());
-  ep.stage(b.data(), b.size_bytes());
-  EXPECT_EQ(ep.pending(), 2u);
-  ep.commit_epoch();
-  EXPECT_EQ(ep.pending(), 0u);
-  EXPECT_EQ(ep.stats().epochs, 1u);
-  EXPECT_EQ(ep.stats().lines_flushed, 16u);  // 2 × 512 B.
-}
-
-TEST(Epoch, EmptyEpochIsFree) {
-  PerfModel m = fast_model();
-  NvmRegion region(1u << 20, m);
-  EpochPersister ep(region);
-  ep.commit_epoch();
-  EXPECT_EQ(ep.stats().epochs, 0u);
-}
-
-TEST(Epoch, ForeignPointerRejected) {
-  PerfModel m = fast_model();
-  NvmRegion region(1u << 20, m);
-  EpochPersister ep(region);
-  double x = 0;
-  EXPECT_THROW(ep.stage(&x, 8), ContractViolation);
-}
-
-TEST(Epoch, ChargesPerfModelPerEpochNotPerRange) {
-  PerfModel throttled(PerfConfig{.dram_bw_bytes_per_s = 1e9, .bandwidth_slowdown = 8.0});
-  NvmRegion region(1u << 20, throttled);
-  auto a = region.allocate<double>(512);
-  EpochPersister ep(region);
-  for (int i = 0; i < 8; ++i) ep.stage(a.data() + i * 64, 64 * 8);
-  ep.commit_epoch();
-  EXPECT_EQ(ep.stats().epochs, 1u);
-  EXPECT_EQ(throttled.stats().lines_flushed, 64u);  // 4 KB total.
 }
 
 }  // namespace

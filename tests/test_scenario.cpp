@@ -226,7 +226,8 @@ TEST(ScenarioRunner, TinyMmVerifiesInAllSevenModes) {
   mm::MmWorkload w(tiny_mm());
   for (Mode m : all_modes()) {
     const ScenarioResult res = run_scenario(w, tiny_config(w, m));
-    EXPECT_EQ(res.work_units, is_algorithm_mode(m) ? 9u : 4u) << mode_name(m);
+    const bool alg = durability_kind(m) == DurabilityKind::kAlgorithm;
+    EXPECT_EQ(res.work_units, alg ? 9u : 4u) << mode_name(m);
     EXPECT_TRUE(res.verified) << mode_name(m);
   }
 }

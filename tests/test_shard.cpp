@@ -77,7 +77,9 @@ TEST(CrashVictims, SeededSelectionIsDeterministicSortedAndDistinct) {
   ASSERT_EQ(v1.size(), 3u);
   for (std::size_t i = 0; i < v1.size(); ++i) {
     EXPECT_LT(v1[i], 8u);
-    if (i > 0) EXPECT_LT(v1[i - 1], v1[i]);  // Sorted => distinct.
+    if (i > 0) {
+      EXPECT_LT(v1[i - 1], v1[i]);  // Sorted => distinct.
+    }
   }
 }
 

@@ -219,11 +219,12 @@ TEST(RunSweep, ParallelDeckMatchesSerialByteForByte) {
 }
 
 TEST(RunSweep, CellFailureIsIsolated) {
-  // A 4 KB arena override starves the alg-nvm substrate while leaving native
-  // untouched: the deck must report the failing cells and finish the rest.
+  // cache_mb configures only the alg-* engines, so the native cells' prepare()
+  // rejects it while the alg-nvm cells run under the crash emulator: the deck
+  // must report the failing cells and finish the rest.
   const SweepSpec spec = parse_ok("workload=cg,mode=native+alg-nvm,crash=none+step:2");
   SweepConfig cfg = tiny_config(1);
-  cfg.base.set("arena", "4096");
+  cfg.base.set("cache_mb", "1");
   const SweepResult deck = run_sweep(spec, cfg);
   ASSERT_EQ(deck.cells.size(), 4u);
   EXPECT_FALSE(deck.all_ok());
@@ -231,10 +232,10 @@ TEST(RunSweep, CellFailureIsIsolated) {
   EXPECT_EQ(deck.count(SweepCellResult::Status::kError), 2u);
   for (const SweepCellResult& cell : deck.cells) {
     if (cell.mode_label == "native") {
-      EXPECT_EQ(cell.status, SweepCellResult::Status::kOk) << cell.index;
-    } else {
       EXPECT_EQ(cell.status, SweepCellResult::Status::kError) << cell.index;
       EXPECT_FALSE(cell.error.empty());
+    } else {
+      EXPECT_EQ(cell.status, SweepCellResult::Status::kOk) << cell.index;
     }
   }
   // Error cells render as ERROR rows, not crashes of the table layer.
@@ -243,7 +244,7 @@ TEST(RunSweep, CellFailureIsIsolated) {
   // And the parallel deck fails the same cells in the same order.
   const SweepResult par = run_sweep(spec, [&] {
     SweepConfig c = tiny_config(3);
-    c.base.set("arena", "4096");
+    c.base.set("cache_mb", "1");
     return c;
   }());
   EXPECT_EQ(deck.table(false).render(TableFormat::kCsv),
