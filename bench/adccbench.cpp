@@ -18,8 +18,9 @@
 // workload=all), so `--workload=cg --mode=all` is the 7-cell deck it reads
 // as. --deck=NAME starts from a declared deck instead (kDecks below): flags
 // still override its options, a flag naming one of its axes replaces that
-// axis, and --sweep axes replace or extend them. Decks execute in one process
-// — optionally on --sweep_jobs worker threads with per-cell isolated
+// axis, and --sweep axes replace or extend them. A flag, deck option or axis
+// key that --help does not list exits 2 naming it. Decks execute in one
+// process — optionally on --sweep_jobs worker threads with per-cell isolated
 // checkpoint scratch dirs — and one crashed cell reports ERROR in its row
 // instead of killing the deck.
 //
@@ -40,9 +41,7 @@
 #include "core/registry.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
-#include "checkpoint/codec.hpp"
 #include "core/telemetry.hpp"
-#include "kernels/backend.hpp"
 
 namespace {
 
@@ -263,7 +262,8 @@ void overlay(core::SweepSpec& spec, core::SweepSpec top) {
 
 /// The deck's axes for this run (--quick overlaid), with every flag that
 /// names one of them replacing it; merges the deck's base options into `opts`
-/// under the flags the user passed. False with a message on a bad axis.
+/// under the flags the user passed. False with a message on a bad axis or an
+/// option key --help does not list.
 bool resolve_deck(const Deck& deck, Options& opts, core::SweepSpec& spec, std::string* error) {
   const bool quick = opts.get_bool("quick");
   auto axes = core::parse_sweep(deck.axes, error);
@@ -285,6 +285,10 @@ bool resolve_deck(const Deck& deck, Options& opts, core::SweepSpec& spec, std::s
     std::istringstream words(list);
     for (std::string word; words >> word;) {
       const std::string key = word.substr(0, word.find('='));
+      if (!opts.documented(key)) {
+        *error = "unknown option '" + key + "' (see --help)";
+        return false;
+      }
       if (!opts.has(key)) opts.set(key, word.substr(key.size() + 1));
     }
   }
@@ -330,7 +334,7 @@ int main(int argc, char** argv) try {
            "none")
       .doc("sweep",
            "axis grid: key=v1+v2,key=lo:hi[:step|:xF],... (axes: workload, mode, "
-           "crash, policy, backend, and any workload option key)")
+           "crash, policy, backend, and any other key this list names)")
       .doc("deck",
            "run a named deck (see --list): a paper figure, an ablation or a pinned "
            "perf deck, CI-sized with --quick; flags override its options, a flag "
@@ -375,14 +379,13 @@ int main(int argc, char** argv) try {
       .doc("seed_a", "mm: seed of matrix A", "seed")
       .doc("seed_b", "mm: seed of matrix B", "seed+1")
       .doc("ckpt_threads", "checkpoint write-pipeline workers (sweepable axis)", "1")
-      .doc("ckpt_chunk_kb", "checkpoint chunk payload size, KB (sweepable axis)", "256")
       .doc("ckpt_async",
            "asynchronous checkpointing: save stages + drains in the background, the "
            "next unit overlaps the device window (sweepable axis)",
            "off")
       .doc("ckpt_compress",
-           "per-chunk checkpoint payload codec: none | lz | lz:LEVEL (1..9, "
-           "lz = lz:2; sweepable axis)",
+           "per-chunk checkpoint payload codec: none | lz | lz:1 | lz:2 (lz = "
+           "lz:2; sweepable axis)",
            "none")
       .doc("ckpt_async_depth",
            "staging-arena ring depth for --ckpt_async: saves admit until N "
@@ -400,36 +403,12 @@ int main(int argc, char** argv) try {
            "1")
       .doc("seed", "problem seed");
   if (opts.maybe_print_help("adccbench")) return 0;
+  opts.reject_undocumented();
 
   const auto format = core::parse_table_format(opts.get("format", "table"));
   if (!format) {
     std::fprintf(stderr, "adccbench: bad --format (want table | csv | json)\n");
     return 2;
-  }
-
-  // Fail the scalar --backend up front (a sweep backend axis is validated by
-  // make_axis); cells read it per-cell, but a typo should kill the deck here.
-  if (opts.has("backend") &&
-      core::find_kernel_backend(opts.get("backend", "serial")) == nullptr) {
-    std::string built;
-    for (const auto& name : core::kernel_backend_names()) {
-      built += built.empty() ? name : ", " + name;
-    }
-    std::fprintf(stderr, "adccbench: unknown --backend '%s' (built: %s)\n",
-                 opts.get("backend", "serial").c_str(), built.c_str());
-    return 2;
-  }
-
-  // Same eager treatment for the scalar --ckpt_compress spelling (a sweep
-  // ckpt_compress axis validates per-token in expand_string_token).
-  if (opts.has("ckpt_compress")) {
-    checkpoint::CodecSpec spec;
-    std::string codec_err;
-    if (!checkpoint::parse_codec(opts.get("ckpt_compress", "none"), &spec, &codec_err)) {
-      std::fprintf(stderr, "adccbench: bad --ckpt_compress '%s': %s\n",
-                   opts.get("ckpt_compress", "none").c_str(), codec_err.c_str());
-      return 2;
-    }
   }
 
   if (opts.get_bool("list")) {
@@ -488,6 +467,26 @@ int main(int argc, char** argv) try {
     spec.axes.insert(spec.axes.begin() + 1, std::move(*axis));  // After workload.
   }
   if (!inject("crash", opts.get("crash", "none"), /*front=*/false)) return 2;
+  // Every string-axis flag passes the sweep's own validator, so a typo kills
+  // the deck here. One that names no axis yet and lists several values runs
+  // as the axis it reads as (--backend=serial+omp); one value stays a base
+  // option.
+  for (const std::string_view name : core::kStringAxes) {
+    const std::string key(name);
+    if (!opts.has(key)) continue;
+    auto axis = core::make_axis(key, opts.get(key, ""), &error);
+    if (!axis) {
+      std::fprintf(stderr, "adccbench: bad --%s: %s\n", key.c_str(), error.c_str());
+      return 2;
+    }
+    if (axis->values.size() > 1 && spec.find(key) == nullptr) spec.axes.push_back(std::move(*axis));
+  }
+  for (const core::SweepAxis& axis : spec.axes) {
+    if (!opts.documented(axis.key)) {
+      std::fprintf(stderr, "adccbench: unknown sweep axis '%s' (see --help)\n", axis.key.c_str());
+      return 2;
+    }
+  }
 
   core::SweepConfig cfg;
   cfg.base = opts;

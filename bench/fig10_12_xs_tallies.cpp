@@ -61,6 +61,7 @@ int main(int argc, char** argv) try {
       .doc("cache_mb", "simulated LLC size, MB", "8")
       .doc("quick", "CI-sized run");
   if (opts.maybe_print_help("fig10_12_xs_tallies")) return 0;
+  opts.reject_undocumented();
   const bool quick = opts.get_bool("quick");
 
   mc::McWorkloadConfig cfg;

@@ -37,6 +37,7 @@ int main(int argc, char** argv) try {
       .doc("disk_scale", "lookup divisor for the disk scheme", "10")
       .doc("quick", "CI-sized run");
   if (opts.maybe_print_help("fig13_xs_runtime")) return 0;
+  opts.reject_undocumented();
   const bool quick = opts.get_bool("quick");
   mc::McWorkloadConfig wc;
   wc.data.n_nuclides = opts.get_size("nuclides", quick ? 24 : 68);

@@ -43,6 +43,7 @@ LINKED_DOCS = ["README.md", *REQUIRED_DOCS]
 # The public API surface held to the struct/class doc-comment rule.
 PUBLIC_HEADERS = [
     "src/core/workload.hpp",
+    "src/core/adapter.hpp",
     "src/core/sweep.hpp",
     "src/core/scenario.hpp",
     "src/core/fault.hpp",

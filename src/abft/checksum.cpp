@@ -155,22 +155,6 @@ std::size_t try_correct(Matrix& cf, const ChecksumReport& report, const Checksum
   return k;
 }
 
-void rebuild_checksums(Matrix& cf) {
-  ADCC_CHECK(cf.rows() >= 2 && cf.cols() >= 2, "checksum matrix too small");
-  const std::size_t data_rows = cf.rows() - 1;
-  const std::size_t data_cols = cf.cols() - 1;
-  for (std::size_t i = 0; i < data_rows; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < data_cols; ++j) s += cf(i, j);
-    cf(i, data_cols) = s;
-  }
-  for (std::size_t j = 0; j <= data_cols; ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < data_rows; ++i) s += cf(i, j);
-    cf(data_rows, j) = s;
-  }
-}
-
 Matrix strip_checksums(const Matrix& cf) {
   ADCC_CHECK(cf.rows() >= 2 && cf.cols() >= 2, "not a checksum matrix");
   Matrix c(cf.rows() - 1, cf.cols() - 1);

@@ -62,10 +62,6 @@ ChecksumReport verify_full_checksums(const linalg::Matrix& cf, const ChecksumTol
 std::size_t try_correct(linalg::Matrix& cf, const ChecksumReport& report,
                         const ChecksumTolerance& tol = {});
 
-/// Recomputes the checksum row+column of a full-checksum matrix in place from
-/// its data elements (used when *building* matrices, never for verification).
-void rebuild_checksums(linalg::Matrix& cf);
-
 /// Strips checksums: returns the m×n data part of a full-checksum matrix.
 linalg::Matrix strip_checksums(const linalg::Matrix& cf);
 

@@ -1,11 +1,19 @@
+// The adapter's loops (the alg-* invariant scans, the fault-surface
+// announcements) start on 32-byte boundaries, so their timing does not move
+// with the size of earlier translation units (see
+// kernels/serial/serial_backend.cpp).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("align-loops=32")
+#endif
+
 #include "cg/cg_workload.hpp"
 
 #include <cmath>
 
 #include "cg/cg_shard.hpp"
-#include "core/shard.hpp"
 #include "common/align.hpp"
 #include "common/check.hpp"
+#include "core/registry.hpp"
 #include "linalg/spgen.hpp"
 #include "linalg/vec_ops.hpp"
 
@@ -80,37 +88,20 @@ void CgWorkload::tune_env(core::Mode mode, core::ModeEnvConfig& env) const {
 }
 
 void CgWorkload::prepare(core::ModeEnv& env) {
-  env_ = &env;
-  done_ = 0;
-  crashed_done_ = 0;
-  fault_.reset();  // Software-counted unless the alg engine emulates.
-  // Drop any previous mode's checkpoint set: its backend reference dies with
-  // the old env, and a stale async_pending flag must not leak into this run.
-  ckpt_.reset();
-  engine_ = core::durability_kind(env.mode);
-  ADCC_CHECK(cfg_.cache_bytes == 0 || engine_ == core::DurabilityKind::kAlgorithm,
-             "cache_mb: the crash emulator runs only under the alg-* modes");
-
+  begin_prepare(env, cfg_.cache_bytes, cfg_.cache_ways);
   switch (engine_) {
     case core::DurabilityKind::kNone:
       cg_init(a_, b_, state_);
       break;
-    case core::DurabilityKind::kCheckpoint: {
-      ADCC_CHECK(env.backend != nullptr, "checkpoint modes need a backend");
+    case core::DurabilityKind::kCheckpoint:
       cg_init(a_, b_, state_);
       ckpt_scalars_ = {state_.rho, 0};
-      // The chunk engine announces ckpt_chunk / ckpt_restore through the
-      // fault surface, so crash plans land inside save and restore too.
-      ckpt_ = std::make_unique<checkpoint::CheckpointSet>(
-          *env.backend, [this](const char* p) { fault_.point(p); });
       ckpt_->add("p", state_.p.data(), state_.p.size() * sizeof(double));
       ckpt_->add("r", state_.r.data(), state_.r.size() * sizeof(double));
       ckpt_->add("z", state_.z.data(), state_.z.size() * sizeof(double));
       ckpt_->add("scalars", &ckpt_scalars_, sizeof(ckpt_scalars_));
       break;
-    }
     case core::DurabilityKind::kTransaction: {
-      ADCC_CHECK(env.perf != nullptr, "pmem-tx mode needs a perf model");
       const std::size_t n = cfg_.n;
       heap_ = std::make_unique<pmemtx::PersistentHeap>(tx_data_bytes(n), tx_log_bytes(n),
                                                        *env.perf);
@@ -133,15 +124,13 @@ void CgWorkload::prepare(core::ModeEnv& env) {
       break;
     }
     case core::DurabilityKind::kAlgorithm: {
-      ADCC_CHECK(env.region != nullptr, "algorithm modes need an NVM arena");
       const std::size_t rows = (cfg_.iters + 2) * cfg_.n;
       hp_ = env.region->allocate<double>(rows);
       hq_ = env.region->allocate<double>(rows);
       hr_ = env.region->allocate<double>(rows);
       hz_ = env.region->allocate<double>(rows);
       counter_ = env.region->allocate<std::int64_t>(kCacheLine / sizeof(std::int64_t));
-      if (cfg_.cache_bytes > 0) {
-        fault_.emulate({.size_bytes = cfg_.cache_bytes, .ways = cfg_.cache_ways});
+      if (fault_.emulated()) {
         // Registration order places the regions in the cache model.
         fault_.track("cg.p", hp_);
         fault_.track("cg.q", hq_);
@@ -324,21 +313,8 @@ void CgWorkload::make_durable() {
   }
 }
 
-void CgWorkload::wait_durable() {
-  // Joins an in-flight async checkpoint drain (--ckpt_async); other engines
-  // are durable the moment make_durable returns.
-  if (ckpt_) ckpt_->wait_durable();
-}
-
-bool CgWorkload::durability_pending() const { return ckpt_ && ckpt_->async_pending(); }
-
 void CgWorkload::inject_crash() {
-  crashed_done_ = done_;
-  // The power failure cuts off an in-flight checkpoint drain first — the
-  // chunks it already pushed are the torn slot recovery will classify — and
-  // staged-but-undrained DRAM cache contents die with it.
-  if (ckpt_) ckpt_->abort_async();
-  if (env_ != nullptr && env_->dram) env_->dram->discard();
+  begin_crash();
   switch (engine_) {
     case core::DurabilityKind::kNone:
     case core::DurabilityKind::kCheckpoint:
@@ -360,7 +336,6 @@ void CgWorkload::inject_crash() {
       // History arrays and counter line live in the arena; emulated, it now
       // holds only what NVM held.
       alg_rho_ = 0.0;
-      fault_.power_fail();
       break;
   }
 }
@@ -409,13 +384,8 @@ core::WorkloadRecovery CgWorkload::recover() {
       cg_init(a_, b_, state_);
       done_ = 0;
       break;
-    case core::DurabilityKind::kCheckpoint: {
-      const std::uint64_t ver = ckpt_->restore();
-      const auto& rs = ckpt_->last_restore();
-      rec.candidates_checked += rs.chunks_probed;
-      rec.torn_chunks = rs.torn_chunks;
-      rec.salvaged_chunks = rs.salvaged_chunks;
-      if (ver != 0) {
+    case core::DurabilityKind::kCheckpoint:
+      if (restore_checkpoint(rec) != 0) {
         state_.rho = ckpt_scalars_.rho;
         state_.iter = static_cast<std::size_t>(ckpt_scalars_.iter);
         // q is reconstructed by the next cg_step; p was checkpointed so the
@@ -426,13 +396,11 @@ core::WorkloadRecovery CgWorkload::recover() {
         done_ = 0;
       }
       break;
-    }
-    case core::DurabilityKind::kTransaction: {
+    case core::DurabilityKind::kTransaction:
       log_->recover();  // Rolls back an uncommitted transaction, if any.
       tx_rho_ = tx_scalars_[0];
       done_ = static_cast<std::size_t>(tx_scalars_[1]);
       break;
-    }
     case core::DurabilityKind::kAlgorithm: {
       // Scan j = durable counter … 0 for the first row pair passing the
       // Eq. 1/2 invariants; restart from iteration j + 1 (Fig. 2 recovery).
@@ -457,9 +425,7 @@ core::WorkloadRecovery CgWorkload::recover() {
       break;
     }
   }
-  rec.restart_unit = done_ + 1;
-  rec.units_lost = crashed_done_ - done_;
-  return rec;
+  return finish_recovery(rec);
 }
 
 std::vector<double> CgWorkload::solution() const {
@@ -489,21 +455,9 @@ bool CgWorkload::verify() {
 
 ADCC_REGISTER_WORKLOAD(
     "cg", "NPB-style sparse CG solver (paper SIII-B, Figs. 2-4)",
-    [](const Options& opts) -> std::unique_ptr<core::Workload> {
+    [](const Options& opts) {
       ADCC_CHECK(!opts.has("policy"), "policy: only the mc alg-* engines have a flush policy");
-      const CgWorkloadConfig cfg = cg_workload_config(opts);
-      const std::size_t shards = opts.get_size("shards", 1);
-      if (shards > 1) {
-        ADCC_CHECK(cfg.cache_bytes == 0,
-                   "cache_mb: the crash emulator runs only under unsharded alg-* engines");
-        return std::make_unique<core::ShardGroup>(
-            std::make_unique<CgShardPlan>(cfg),
-            core::ShardGroupConfig{shards},
-            [cfg]() -> std::unique_ptr<core::Workload> {
-              return std::make_unique<CgWorkload>(cfg);
-            });
-      }
-      return std::make_unique<CgWorkload>(cfg);
+      return core::make_adapter<CgWorkload, CgShardPlan>(opts, cg_workload_config(opts));
     });
 
 }  // namespace adcc::cg

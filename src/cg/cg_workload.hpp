@@ -16,18 +16,13 @@
 // cache-resident. Without it the arena is host memory and keeps every store.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "cg/cg.hpp"
-#include "checkpoint/checkpoint_set.hpp"
 #include "common/options.hpp"
-#include "core/fault.hpp"
-#include "core/registry.hpp"
-#include "core/workload.hpp"
-#include "pmemtx/tx.hpp"
+#include "core/adapter.hpp"
 
 namespace adcc::cg {
 
@@ -50,7 +45,7 @@ struct CgWorkloadConfig {
 /// (linalg::shape_of); an explicit --n or --nz wins over it.
 CgWorkloadConfig cg_workload_config(const Options& opts);
 
-class CgWorkload final : public core::Workload {
+class CgWorkload final : public core::AdapterBase {
  public:
   explicit CgWorkload(const CgWorkloadConfig& cfg);
 
@@ -61,25 +56,18 @@ class CgWorkload final : public core::Workload {
 
   std::string name() const override { return "cg"; }
   std::size_t work_units() const override { return cfg_.iters; }
-  std::size_t units_done() const override { return done_; }
   void prepare(core::ModeEnv& env) override;
   bool run_step() override;
   void make_durable() override;
-  void wait_durable() override;
-  bool durability_pending() const override;
   void inject_crash() override;
   core::WorkloadRecovery recover() override;
   bool verify() override;
   void tune_env(core::Mode mode, core::ModeEnvConfig& cfg) const override;
-  core::FaultSurface* fault() override { return &fault_; }
 
   /// Current solution estimate (valid once the run completed).
   std::vector<double> solution() const;
 
   const linalg::CsrMatrix& matrix() const { return a_; }
-
-  /// pmem-tx: the undo log's counters (null before a pmem-tx prepare).
-  const pmemtx::UndoLogStats* tx_log_stats() const { return log_ ? &log_->stats() : nullptr; }
 
  private:
   std::span<double> row(std::span<double> arr, std::size_t r) const {
@@ -97,12 +85,6 @@ class CgWorkload final : public core::Workload {
   std::vector<double> b_;
   std::optional<CgResult> reference_;
 
-  core::ModeEnv* env_ = nullptr;
-  core::DurabilityKind engine_ = core::DurabilityKind::kNone;
-  core::FaultSurface fault_;      ///< Mid-unit crash surface (emulated: alg + cache_mb).
-  std::size_t done_ = 0;
-  std::size_t crashed_done_ = 0;  ///< units_done at the last inject_crash.
-
   // native / ckpt-* state.
   CgState state_;
   struct CkptScalars {
@@ -110,11 +92,8 @@ class CgWorkload final : public core::Workload {
     std::uint64_t iter = 0;
   };
   CkptScalars ckpt_scalars_;
-  std::unique_ptr<checkpoint::CheckpointSet> ckpt_;
 
   // pmem-tx state.
-  std::unique_ptr<pmemtx::PersistentHeap> heap_;
-  std::unique_ptr<pmemtx::UndoLog> log_;
   std::span<double> tx_p_, tx_r_, tx_z_, tx_scalars_;
   std::vector<double> tx_q_;
   double tx_rho_ = 0.0;

@@ -444,7 +444,7 @@ std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
     }
   }
 
-  // Offsets from the *saved* chunk size, so images survive --ckpt_chunk_kb
+  // Offsets from the *saved* chunk size, so images survive a chunk_bytes
   // reconfiguration between save and load.
   const ChunkLayout layout = ChunkLayout::make(objs, static_cast<std::size_t>(h.chunk_bytes));
   ADCC_CHECK(layout.chunks.size() == h.chunk_count,
@@ -530,8 +530,8 @@ TornProbe Backend::probe_torn(int slot, std::span<const ObjectView> objs,
     if (h.format == kChunkFormat && h.header_crc == slot_header_crc(h)) {
       base = h.version;
       // Scan at the offsets the slot was actually cut with (load() supports
-      // --ckpt_chunk_kb reconfiguration between save and load; so must the
-      // torn classifier).
+      // chunk_bytes reconfiguration between save and load; so must the torn
+      // classifier).
       if (h.chunk_bytes > 0) layout_chunk_bytes = static_cast<std::size_t>(h.chunk_bytes);
     } else {
       ++probe.torn_chunks;  // A half-written slot header is torn evidence itself.

@@ -197,7 +197,7 @@ class Backend {
   virtual ~Backend();
 
   /// Chunk size / pipeline width / codec for subsequent saves
-  /// (--ckpt_chunk_kb, --ckpt_threads, --ckpt_compress, ...).
+  /// (chunk_bytes, --ckpt_threads, --ckpt_compress, ...).
   void configure_chunks(const ChunkConfig& cfg);
   const ChunkConfig& chunk_config() const { return chunks_; }
 
@@ -283,7 +283,6 @@ class Backend {
   std::size_t read_image(int slot, std::span<std::byte> out) const;
 
   const BackendStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  protected:
   /// Every derived destructor MUST call this before tearing anything down

@@ -54,7 +54,7 @@ const char* crc32_kernel();
 
 /// How the engine splits and serializes a checkpoint.
 struct ChunkConfig {
-  std::size_t chunk_bytes = 256u << 10;  ///< --ckpt_chunk_kb (payload per chunk).
+  std::size_t chunk_bytes = 256u << 10;  ///< Payload bytes per chunk.
   int threads = 1;                       ///< --ckpt_threads (pipeline workers).
   /// --ckpt_async: CheckpointSet::save dispatches to save_async (stage +
   /// background drain) instead of blocking through the device window.

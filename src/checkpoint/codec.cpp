@@ -326,8 +326,9 @@ bool parse_codec(std::string_view spec, CodecSpec* out, std::string* error) {
       return fail("unknown codec '" + std::string(spec) + "' (expected none|lz[:LEVEL])");
     }
     level_str = rest.substr(1);
-    if (level_str.size() != 1 || level_str[0] < '1' || level_str[0] > '9') {
-      return fail("codec level '" + std::string(level_str) + "' out of range (1-9)");
+    // Levels above 2 would run level 2's code, so they are not accepted.
+    if (level_str != "1" && level_str != "2") {
+      return fail("codec level '" + std::string(level_str) + "' out of range (1-2)");
     }
   }
   CodecSpec parsed;
@@ -335,12 +336,6 @@ bool parse_codec(std::string_view spec, CodecSpec* out, std::string* error) {
   parsed.level = level_str.empty() ? 2 : level_str[0] - '0';  // "lz" == "lz:2".
   *out = parsed;
   return true;
-}
-
-std::string codec_spec_string(const CodecSpec& spec) {
-  if (spec.codec == Codec::kRaw) return "none";
-  if (spec.level == 2) return "lz";  // The default level round-trips to "lz".
-  return "lz:" + std::to_string(spec.level);
 }
 
 std::size_t lz_compress(const void* src, std::size_t bytes, std::vector<std::byte>& dst,

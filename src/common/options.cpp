@@ -137,4 +137,18 @@ bool Options::maybe_print_help(const std::string& program) const {
   return true;
 }
 
+bool Options::documented(std::string_view key) const {
+  if (key == "help") return true;
+  for (const auto& d : docs_) {
+    if (d.key == key) return true;
+  }
+  return false;
+}
+
+void Options::reject_undocumented() const {
+  for (const auto& [key, value] : kv_) {
+    if (!documented(key)) throw ContractViolation("unknown option --" + key + " (see --help)");
+  }
+}
+
 }  // namespace adcc

@@ -5,7 +5,9 @@
 //
 // Binaries document their keys with doc() once after parsing; --help output is
 // then generated from the registered keys (maybe_print_help), so the flag list
-// printed to the user and the flag list the code reads cannot drift apart.
+// printed to the user and the flag list the code reads cannot drift apart, and
+// reject_undocumented() refuses any other key, so a misspelt flag cannot
+// silently run the default configuration.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +60,13 @@ class Options {
   /// When --help was passed: prints help_text to stdout and returns true (the
   /// caller should exit 0).
   bool maybe_print_help(const std::string& program) const;
+
+  /// True when `key` is one --help lists: a doc()'d key, or "help" itself.
+  bool documented(std::string_view key) const;
+
+  /// Throws ContractViolation naming the first key passed that --help does
+  /// not list. Call once after the doc() chain.
+  void reject_undocumented() const;
 
  private:
   struct Doc {

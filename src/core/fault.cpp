@@ -1,3 +1,10 @@
+// The surface's loops (announcements, flip injection) start on 32-byte
+// boundaries, so the per-unit tick/point cost does not move with the size of
+// earlier translation units (see kernels/serial/serial_backend.cpp).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("align-loops=32")
+#endif
+
 #include "core/fault.hpp"
 
 #include <cstring>

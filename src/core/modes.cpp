@@ -101,7 +101,6 @@ ModeEnv make_env(Mode mode, const ModeEnvConfig& cfg) {
   }
   if (env.backend) {
     checkpoint::ChunkConfig cc;
-    cc.chunk_bytes = cfg.ckpt_chunk_bytes;
     cc.threads = cfg.ckpt_threads;
     cc.async = cfg.ckpt_async;
     cc.compress = cfg.ckpt_compress;

@@ -58,7 +58,6 @@ struct ModeEnvConfig {
   double dram_bw_bytes_per_s = 0.0;      ///< 0 → calibrate with a memcpy sweep.
   double disk_throttle_bytes_per_s = 150e6;
   std::size_t dram_cache_bytes = 32u << 20;  ///< Paper: 32 MB.
-  std::size_t ckpt_chunk_bytes = 256u << 10; ///< --ckpt_chunk_kb (chunk payload).
   int ckpt_threads = 1;                      ///< --ckpt_threads (write pipeline).
   /// --ckpt_async: checkpoint saves stage + drain in the background, so the
   /// next work unit overlaps the device window (sweepable axis ckpt_async=0+1).

@@ -54,8 +54,10 @@ struct WorkloadRegistrar {
 #define ADCC_REGISTER_WORKLOAD_CONCAT(a, b) ADCC_REGISTER_WORKLOAD_CONCAT2(a, b)
 
 /// ADCC_REGISTER_WORKLOAD("cg", "NPB-CG solver", [](const Options& o) {...});
-#define ADCC_REGISTER_WORKLOAD(name, description, factory)             \
+/// The factory is the variadic tail, so its body may name a template with
+/// several arguments (make_adapter<W, Plan>) without extra parentheses.
+#define ADCC_REGISTER_WORKLOAD(name, description, ...)                        \
   static const ::adcc::core::WorkloadRegistrar ADCC_REGISTER_WORKLOAD_CONCAT( \
-      adcc_workload_registrar_, __LINE__)(name, description, factory)
+      adcc_workload_registrar_, __LINE__)(name, description, __VA_ARGS__)
 
 }  // namespace adcc::core

@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
+#include "core/adapter.hpp"
 #include "core/telemetry.hpp"
 
 namespace adcc::core {
@@ -126,9 +127,7 @@ void ShardGroup::prepare(ModeEnv& env) {
     // The main env hosts only the coordinator's marker; force it synchronous
     // (the marker save IS the global commit point) and single-threaded — it
     // is a few dozen bytes.
-    checkpoint::ChunkConfig marker_cc;
-    marker_cc.chunk_bytes = env.cfg.ckpt_chunk_bytes;
-    env.backend->configure_chunks(marker_cc);
+    env.backend->configure_chunks(checkpoint::ChunkConfig{});
     const std::filesystem::path base =
         env.cfg.scratch_dir.empty()
             ? std::filesystem::temp_directory_path() / "adcc_ckpt"
@@ -139,8 +138,7 @@ void ShardGroup::prepare(ModeEnv& env) {
       shard_envs_.push_back(std::make_unique<ModeEnv>(make_env(env.mode, sc)));
     }
     for (std::size_t i = 0; i < n; ++i) {
-      ckpts_.push_back(std::make_unique<checkpoint::CheckpointSet>(
-          *shard_envs_[i]->backend, [this](const char* p) { fault_.point(p); }));
+      ckpts_.push_back(make_checkpoint_set(*shard_envs_[i]->backend, fault_));
     }
     coordinator_ = std::make_unique<GroupCoordinator>(*env.backend, &fault_, n);
   }
@@ -236,9 +234,9 @@ void ShardGroup::inject_crash() {
   crashed_done_ = done_;
   if (scope_.kind == CrashScope::Kind::kShards && !scope_.victims.empty()) {
     for (const std::size_t v : scope_.victims) {
+      // The victim's drain and DRAM staging die with it.
       if (kind_ == DurabilityKind::kCheckpoint) {
-        ckpts_[v]->abort_async();  // The victim's drain dies with it.
-        if (shard_envs_[v]->dram) shard_envs_[v]->dram->discard();
+        drop_in_flight(ckpts_[v].get(), shard_envs_[v].get());
       }
       parts_[v]->clobber();
       progress_[v] = 0;  // Unknown until recovery replays.
@@ -251,14 +249,13 @@ void ShardGroup::inject_crash() {
   // mid-commit and taking the group with it).
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     if (kind_ == DurabilityKind::kCheckpoint) {
-      ckpts_[i]->abort_async();
-      if (shard_envs_[i]->dram) shard_envs_[i]->dram->discard();
+      drop_in_flight(ckpts_[i].get(), shard_envs_[i].get());
     }
     parts_[i]->clobber();
     progress_[i] = 0;
   }
   if (coordinator_) coordinator_->clobber();
-  if (env_ != nullptr && env_->dram) env_->dram->discard();
+  drop_in_flight(nullptr, env_);
   exchange_.clear();
   pending_epoch_.reset();
 }
@@ -310,9 +307,7 @@ WorkloadRecovery ShardGroup::recover() {
       const auto epoch = static_cast<std::size_t>(marker.epoch);
       for (const std::size_t v : scope_.victims) {
         ckpts_[v]->restore_version(marker.versions[v]);
-        rec.candidates_checked += ckpts_[v]->last_restore().chunks_probed;
-        rec.torn_chunks += ckpts_[v]->last_restore().torn_chunks;
-        rec.salvaged_chunks += ckpts_[v]->last_restore().salvaged_chunks;
+        add_restore_stats(rec, *ckpts_[v]);
         saved_version_[v] = marker.versions[v];
         last_saved_epoch_[v] = epoch;
         parts_[v]->restored(epoch);
@@ -348,9 +343,7 @@ WorkloadRecovery ShardGroup::recover() {
       const auto epoch = static_cast<std::size_t>(marker.epoch);
       for (std::size_t i = 0; i < parts_.size(); ++i) {
         ckpts_[i]->restore_version(epoch == 0 ? 0 : marker.versions[i]);
-        rec.candidates_checked += ckpts_[i]->last_restore().chunks_probed;
-        rec.torn_chunks += ckpts_[i]->last_restore().torn_chunks;
-        rec.salvaged_chunks += ckpts_[i]->last_restore().salvaged_chunks;
+        add_restore_stats(rec, *ckpts_[i]);
         saved_version_[i] = marker.versions[i];
         last_saved_epoch_[i] = epoch;
         parts_[i]->restored(epoch);

@@ -49,12 +49,8 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
   }
 }
 
-/// The axes whose values are names, not numbers: never range-expanded, and the
-/// crash axis may contain ':' freely (point:cg:p_updated:15). ckpt_compress is
-/// here because "lz:2" would otherwise parse as a numeric range.
 bool is_string_axis(std::string_view key) {
-  return key == "workload" || key == "mode" || key == "crash" || key == "policy" ||
-         key == "backend" || key == "ckpt_compress";
+  return std::find(std::begin(kStringAxes), std::end(kStringAxes), key) != std::end(kStringAxes);
 }
 
 bool expand_string_token(std::string_view key, std::string_view tok,
@@ -387,8 +383,6 @@ ScenarioConfig cell_config(const Workload& workload, Mode mode, const CrashScena
   sc.env.disk_throttle_bytes_per_s = opts.get_double("disk_mbps", 150.0) * 1e6;
   // Durability-engine knobs, sweepable like any other axis.
   sc.env.ckpt_threads = std::max(1, static_cast<int>(opts.get_int("ckpt_threads", 1)));
-  sc.env.ckpt_chunk_bytes =
-      std::max<std::size_t>(1u << 10, opts.get_size("ckpt_chunk_kb", 256) << 10);
   sc.env.ckpt_async = opts.get_bool("ckpt_async");
   if (opts.has("ckpt_compress")) {
     std::string why;
@@ -412,7 +406,7 @@ ScenarioConfig cell_config(const Workload& workload, Mode mode, const CrashScena
 /// mode and crash are forced to native/none in the baseline run, policy and
 /// cache_mb (dropped from its options) only configure the alg-* engines the
 /// native run never executes, and the checkpoint-engine knobs
-/// (threads/chunking/async, the disk device model) configure a backend the
+/// (threads/async/codec, the disk device model) configure a backend the
 /// native run never builds. Cells differing only in those share one
 /// baseline — which also keeps self-relative gates (e.g. the ckpt_async
 /// overhead ratio) free of native-measurement noise between cells.
@@ -427,7 +421,7 @@ std::string baseline_key(const std::string& workload,
   std::string key = workload;
   for (const auto& [k, v] : assignment) {
     if (k == "mode" || k == "crash" || k == "policy" || k == "cache_mb" ||
-        k == "ckpt_threads" || k == "ckpt_chunk_kb" || k == "ckpt_async" || k == "ckpt_compress" ||
+        k == "ckpt_threads" || k == "ckpt_async" || k == "ckpt_compress" ||
         k == "ckpt_async_depth" || k == "ckpt_dirty_commit" || k == "disk_mbps" ||
         k == "shards" || k == "backend" || k == "threads") {
       continue;

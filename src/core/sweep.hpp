@@ -53,6 +53,13 @@ namespace adcc::core {
 
 class TraceSink;
 
+/// The axes whose values are names, not numbers: never range-expanded, and
+/// validated eagerly by make_axis. The crash axis may contain ':' freely
+/// (point:cg:p_updated:15); ckpt_compress is here because "lz:2" would
+/// otherwise parse as a numeric range.
+inline constexpr std::string_view kStringAxes[] = {"workload", "mode",    "crash",
+                                                   "policy",   "backend", "ckpt_compress"};
+
 /// One expanded sweep dimension: an option key and the literal values the
 /// deck's cross product iterates over it.
 struct SweepAxis {

@@ -1,3 +1,10 @@
+// The per-lookup loop of run_step and the adapter's other loops start on
+// 32-byte boundaries, so their timing does not move with the size of earlier
+// translation units (see kernels/serial/serial_backend.cpp).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("align-loops=32")
+#endif
+
 #include "mc/mc_workload.hpp"
 
 #include <algorithm>
@@ -5,7 +12,7 @@
 
 #include "common/align.hpp"
 #include "common/check.hpp"
-#include "core/shard.hpp"
+#include "core/registry.hpp"
 #include "core/telemetry.hpp"
 #include "mc/mc_shard.hpp"
 
@@ -57,38 +64,25 @@ void McWorkload::tune_env(core::Mode mode, core::ModeEnvConfig& env) const {
 }
 
 void McWorkload::prepare(core::ModeEnv& env) {
-  env_ = &env;
-  done_ = 0;
-  crashed_done_ = 0;
+  begin_prepare(env, cfg_.cache_bytes, cfg_.cache_ways);
+  ADCC_CHECK(!cfg_.policy || engine_ == core::DurabilityKind::kAlgorithm,
+             "policy: only the mc alg-* engines have a flush policy");
   dram_macro_.fill(0.0);
   dram_counters_.fill(0);
   macro_ = dram_macro_;
   counters_ = dram_counters_;
   durable_units_ = 0;
   scratch_index_ = 0;
-  fault_.reset();  // Software-counted unless the alg engine emulates.
-  // Drop any previous mode's checkpoint set: its backend reference dies with
-  // the old env, and a stale async_pending flag must not leak into this run.
-  ckpt_.reset();
-  engine_ = core::durability_kind(env.mode);
-  ADCC_CHECK(cfg_.cache_bytes == 0 || engine_ == core::DurabilityKind::kAlgorithm,
-             "cache_mb: the crash emulator runs only under the alg-* modes");
-  ADCC_CHECK(!cfg_.policy || engine_ == core::DurabilityKind::kAlgorithm,
-             "policy: only the mc alg-* engines have a flush policy");
 
   switch (engine_) {
     case core::DurabilityKind::kNone:
       break;
     case core::DurabilityKind::kCheckpoint:
-      ADCC_CHECK(env.backend != nullptr, "checkpoint modes need a backend");
-      ckpt_ = std::make_unique<checkpoint::CheckpointSet>(
-          *env.backend, [this](const char* p) { fault_.point(p); });
       ckpt_->add("macro_xs", macro_.data(), macro_.size_bytes());
       ckpt_->add("counters", counters_.data(), counters_.size_bytes());
       ckpt_->add("units", &durable_units_, sizeof(durable_units_));
       break;
     case core::DurabilityKind::kTransaction:
-      ADCC_CHECK(env.perf != nullptr, "pmem-tx mode needs a perf model");
       heap_ = std::make_unique<pmemtx::PersistentHeap>(kTxDataBytes, kTxLogBytes, *env.perf);
       pmacro_ = heap_->allocate<double>(kChannels);
       pcounters_ = heap_->allocate<std::uint64_t>(kChannels);
@@ -102,14 +96,12 @@ void McWorkload::prepare(core::ModeEnv& env) {
       log_ = std::make_unique<pmemtx::UndoLog>(*heap_);
       break;
     case core::DurabilityKind::kAlgorithm:
-      ADCC_CHECK(env.region != nullptr, "algorithm modes need an NVM arena");
       macro_ = env.region->allocate<double>(kChannels);
       counters_ = env.region->allocate<std::uint64_t>(kChannels);
       pmacro_ = env.region->allocate<double>(kChannels);
       pcounters_ = env.region->allocate<std::uint64_t>(kChannels);
       punits_ = env.region->allocate<std::uint64_t>(kCacheLine / sizeof(std::uint64_t));
-      if (cfg_.cache_bytes > 0) {
-        fault_.emulate({.size_bytes = cfg_.cache_bytes, .ways = cfg_.cache_ways});
+      if (fault_.emulated()) {
         // Registration order places the regions in the cache model.
         fault_.track_input("xs.unionized", std::span<const double>(data_.unionized_energy()));
         fault_.track_input("xs.index_grid", std::span<const std::int32_t>(data_.index_grid()));
@@ -244,26 +236,15 @@ void McWorkload::make_durable() {
   }
 }
 
-void McWorkload::wait_durable() {
-  // Joins an in-flight async checkpoint drain (--ckpt_async); other engines
-  // are durable the moment make_durable returns.
-  if (ckpt_) ckpt_->wait_durable();
-}
-
-bool McWorkload::durability_pending() const { return ckpt_ && ckpt_->async_pending(); }
-
 void McWorkload::inject_crash() {
-  crashed_done_ = done_;
-  // An in-flight checkpoint drain is cut off first; the DRAM working copy
-  // dies with the power, and the durable snapshot (checkpoint / heap / arena)
-  // is all recovery may read. Under alg-* the working copy is arena memory:
-  // it keeps every store, or emulated only what NVM held.
-  if (ckpt_) ckpt_->abort_async();
-  if (env_ != nullptr && env_->dram) env_->dram->discard();
+  begin_crash();
+  // The DRAM working copy dies with the power, and the durable snapshot
+  // (checkpoint / heap / arena) is all recovery may read. Under alg-* the
+  // working copy is arena memory: it keeps every store, or emulated only
+  // what NVM held.
   dram_macro_.fill(0.0);
   dram_counters_.fill(0);
   durable_units_ = 0;
-  fault_.power_fail();
 }
 
 core::WorkloadRecovery McWorkload::recover() {
@@ -272,19 +253,9 @@ core::WorkloadRecovery McWorkload::recover() {
     case core::DurabilityKind::kNone:
       done_ = 0;  // Nothing durable: replay from the first lookup.
       break;
-    case core::DurabilityKind::kCheckpoint: {
-      const std::uint64_t ver = ckpt_->restore();
-      const auto& rs = ckpt_->last_restore();
-      rec.candidates_checked += rs.chunks_probed;
-      rec.torn_chunks = rs.torn_chunks;
-      rec.salvaged_chunks = rs.salvaged_chunks;
-      if (ver != 0) {
-        done_ = static_cast<std::size_t>(durable_units_);
-      } else {
-        done_ = 0;
-      }
+    case core::DurabilityKind::kCheckpoint:
+      done_ = restore_checkpoint(rec) != 0 ? static_cast<std::size_t>(durable_units_) : 0;
       break;
-    }
     case core::DurabilityKind::kTransaction:
       log_->recover();  // Rolls back an uncommitted transaction, if any.
       std::copy(pmacro_.begin(), pmacro_.end(), macro_.begin());
@@ -303,9 +274,7 @@ core::WorkloadRecovery McWorkload::recover() {
       done_ = static_cast<std::size_t>(punits_[0]);
       break;
   }
-  rec.restart_unit = done_ + 1;
-  rec.units_lost = crashed_done_ - done_;
-  return rec;
+  return finish_recovery(rec);
 }
 
 Tally McWorkload::tally() const {
@@ -326,21 +295,11 @@ bool McWorkload::verify() {
 
 ADCC_REGISTER_WORKLOAD(
     "mc", "XSBench-equivalent Monte-Carlo transport (paper SIII-D, Figs. 9-13)",
-    [](const Options& opts) -> std::unique_ptr<core::Workload> {
+    [](const Options& opts) {
       const McWorkloadConfig cfg = mc_workload_config(opts);
-      const std::size_t shards = opts.get_size("shards", 1);
-      if (shards > 1) {
-        ADCC_CHECK(cfg.cache_bytes == 0 && !cfg.policy,
-                   "cache_mb / policy: the crash emulator and flush policies run only "
-                   "under unsharded alg-* engines");
-        return std::make_unique<core::ShardGroup>(
-            std::make_unique<McShardPlan>(cfg),
-            core::ShardGroupConfig{shards},
-            [cfg]() -> std::unique_ptr<core::Workload> {
-              return std::make_unique<McWorkload>(cfg);
-            });
-      }
-      return std::make_unique<McWorkload>(cfg);
+      ADCC_CHECK(!cfg.policy || opts.get_size("shards", 1) <= 1,
+                 "policy: flush policies run only under unsharded alg-* engines");
+      return core::make_adapter<McWorkload, McShardPlan>(opts, cfg);
     });
 
 }  // namespace adcc::mc

@@ -26,18 +26,13 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "checkpoint/checkpoint_set.hpp"
 #include "common/options.hpp"
-#include "core/fault.hpp"
-#include "core/registry.hpp"
-#include "core/workload.hpp"
+#include "core/adapter.hpp"
 #include "mc/mc_ckpt.hpp"
-#include "pmemtx/tx.hpp"
 
 namespace adcc::mc {
 
@@ -62,7 +57,7 @@ struct McWorkloadConfig {
 /// --gridpoints, --seed, --policy, --cache_mb, --quick).
 McWorkloadConfig mc_workload_config(const Options& opts);
 
-class McWorkload final : public core::Workload {
+class McWorkload final : public core::AdapterBase {
  public:
   explicit McWorkload(const McWorkloadConfig& cfg);
 
@@ -71,17 +66,13 @@ class McWorkload final : public core::Workload {
 
   std::string name() const override { return "mc"; }
   std::size_t work_units() const override { return units_; }
-  std::size_t units_done() const override { return done_; }
   void prepare(core::ModeEnv& env) override;
   bool run_step() override;
   void make_durable() override;
-  void wait_durable() override;
-  bool durability_pending() const override;
   void inject_crash() override;
   core::WorkloadRecovery recover() override;
   bool verify() override;
   void tune_env(core::Mode mode, core::ModeEnvConfig& cfg) const override;
-  core::FaultSurface* fault() override { return &fault_; }
 
   /// Final tallies; valid once the run completed (alg-*: while the run's
   /// ModeEnv, whose arena holds them, lives).
@@ -100,11 +91,6 @@ class McWorkload final : public core::Workload {
   std::size_t units_ = 0;
   std::optional<Tally> reference_;
 
-  core::ModeEnv* env_ = nullptr;
-  core::DurabilityKind engine_ = core::DurabilityKind::kNone;
-  core::FaultSurface fault_;  ///< Mid-unit crash surface (emulated: alg + cache_mb).
-  std::size_t done_ = 0;
-  std::size_t crashed_done_ = 0;
   std::uint64_t scratch_index_ = 0;  ///< Live lookup cursor for run_xs_range.
   std::vector<std::size_t> probes_;  ///< Emulated runs: grid-search probe replay.
 
@@ -115,11 +101,6 @@ class McWorkload final : public core::Workload {
   std::span<double> macro_;
   std::span<std::uint64_t> counters_;
   std::uint64_t durable_units_ = 0;  ///< Checkpointed progress scalar.
-  std::unique_ptr<checkpoint::CheckpointSet> ckpt_;
-
-  // pmem-tx state.
-  std::unique_ptr<pmemtx::PersistentHeap> heap_;
-  std::unique_ptr<pmemtx::UndoLog> log_;
 
   // tx / alg durable boundary snapshots (heap or arena), written only by
   // make_durable so no partial interval can reach them.

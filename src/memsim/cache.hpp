@@ -74,7 +74,6 @@ class SetAssocCache {
 
   const CacheConfig& config() const { return cfg_; }
   const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   struct Entry {

@@ -157,15 +157,11 @@ void MemorySimulator::crash() {
   crashed_ = true;
 }
 
-void MemorySimulator::restore_region(RegionId id) {
-  ADCC_CHECK(id < regions_.size(), "unknown region");
-  Region& r = regions_[id];
-  if (r.read_only) return;  // Live bytes were never diverged for RO regions.
-  std::memcpy(reinterpret_cast<void*>(r.base), r.durable.data(), r.bytes);
-}
-
 void MemorySimulator::restore_all() {
-  for (RegionId id = 0; id < regions_.size(); ++id) restore_region(id);
+  for (Region& r : regions_) {
+    if (r.read_only) continue;  // Live bytes were never diverged for RO regions.
+    std::memcpy(reinterpret_cast<void*>(r.base), r.durable.data(), r.bytes);
+  }
 }
 
 void MemorySimulator::durable_read(const void* p, void* out, std::size_t bytes) const {
@@ -178,17 +174,6 @@ void MemorySimulator::durable_read(const void* p, void* out, std::size_t bytes) 
     return;
   }
   std::memcpy(out, r->durable.data() + (addr - r->base), bytes);
-}
-
-bool MemorySimulator::line_dirty(const void* p) const {
-  return cache_.dirty(model_addr(p, 1) & ~static_cast<std::uintptr_t>(kCacheLine - 1));
-}
-
-void MemorySimulator::drain() {
-  for (const std::uintptr_t line : cache_.dirty_lines()) {
-    writeback_line(line);
-    cache_.flush_line(line);
-  }
 }
 
 void MemorySimulator::reset_after_crash() {
@@ -204,11 +189,6 @@ std::vector<MemorySimulator::RegionCensus> MemorySimulator::dirty_line_census() 
   }
   for (const std::uintptr_t line : cache_.dirty_lines()) ++out[region_of_line(line)].dirty_lines;
   return out;
-}
-
-void MemorySimulator::reset_stats() {
-  stats_ = {};
-  cache_.reset_stats();
 }
 
 }  // namespace adcc::memsim

@@ -95,8 +95,8 @@ class MemorySimulator {
 
   bool crashed() const { return crashed_; }
 
-  /// Copies the durable image of `id` over its live bytes (recovery reload).
-  void restore_region(RegionId id);
+  /// Copies every region's durable image over its live bytes (recovery
+  /// reload).
   void restore_all();
 
   /// Reads `bytes` at live address `p` from the durable image (no cache
@@ -110,13 +110,6 @@ class MemorySimulator {
     durable_read(p, &v, sizeof(T));
     return v;
   }
-
-  /// True if the line containing p is resident and dirty (i.e. NVM is stale).
-  bool line_dirty(const void* p) const;
-
-  /// Writes back every dirty line of every region (an ideal "drain"); used by
-  /// tests and by graceful-shutdown paths.
-  void drain();
 
   /// Re-arms the simulator after a crash for the recovery run: cache is empty,
   /// crashed flag cleared, scheduler disarmed.
@@ -140,7 +133,6 @@ class MemorySimulator {
 
   const SimStats& stats() const { return stats_; }
   const CacheStats& cache_stats() const { return cache_.stats(); }
-  void reset_stats();
 
   /// Total accesses so far (the crash-trigger "instruction" counter).
   std::uint64_t access_count() const { return stats_.accesses(); }

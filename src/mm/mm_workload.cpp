@@ -1,3 +1,11 @@
+// The adapter's loops (the checksum scans, the emulated traffic
+// announcements, recovery's repair) start on 32-byte boundaries, so their
+// timing does not move with the size of earlier translation units (see
+// kernels/serial/serial_backend.cpp).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("align-loops=32")
+#endif
+
 #include "mm/mm_workload.hpp"
 
 #include <cmath>
@@ -6,7 +14,7 @@
 #include "common/align.hpp"
 #include "common/check.hpp"
 #include "common/timer.hpp"
-#include "core/shard.hpp"
+#include "core/registry.hpp"
 #include "kernels/backend.hpp"
 #include "linalg/gemm.hpp"
 #include "mm/mm_shard.hpp"
@@ -83,34 +91,20 @@ void MmWorkload::tune_env(core::Mode mode, core::ModeEnvConfig& env) const {
 }
 
 void MmWorkload::prepare(core::ModeEnv& env) {
-  env_ = &env;
-  done_ = 0;
-  crashed_done_ = 0;
-  fault_.reset();  // Software-counted unless the alg engine emulates.
-  // Drop any previous mode's checkpoint set: its backend reference dies with
-  // the old env, and a stale async_pending flag must not leak into this run.
-  ckpt_.reset();
-  engine_ = core::durability_kind(env.mode);
-  ADCC_CHECK(cfg_.cache_bytes == 0 || engine_ == core::DurabilityKind::kAlgorithm,
-             "cache_mb: the crash emulator runs only under the alg-* modes");
-
+  begin_prepare(env, cfg_.cache_bytes, cfg_.cache_ways);
   switch (engine_) {
     case core::DurabilityKind::kNone:
       cf_ = Matrix(nc_, nc_);
       cf_.set_zero();
       break;
     case core::DurabilityKind::kCheckpoint:
-      ADCC_CHECK(env.backend != nullptr, "checkpoint modes need a backend");
       cf_ = Matrix(nc_, nc_);
       cf_.set_zero();
       ckpt_step_ = 0;
-      ckpt_ = std::make_unique<checkpoint::CheckpointSet>(
-          *env.backend, [this](const char* p) { fault_.point(p); });
       ckpt_->add("Cf", cf_.data(), cf_.size_bytes());
       ckpt_->add("step", &ckpt_step_, sizeof(ckpt_step_));
       break;
     case core::DurabilityKind::kTransaction: {
-      ADCC_CHECK(env.perf != nullptr, "pmem-tx mode needs a perf model");
       heap_ = std::make_unique<pmemtx::PersistentHeap>(tx_data_bytes(cfg_.n),
                                                        tx_log_bytes(cfg_.n), *env.perf);
       tx_cf_ = heap_->allocate<double>(nc_ * nc_);
@@ -123,15 +117,13 @@ void MmWorkload::prepare(core::ModeEnv& env) {
       break;
     }
     case core::DurabilityKind::kAlgorithm: {
-      ADCC_CHECK(env.region != nullptr, "algorithm modes need an NVM arena");
       ctemp_s_.assign(panels_, {});
       for (std::size_t s = 0; s < panels_; ++s) {
         ctemp_s_[s] = env.region->allocate<double>(nc_ * nc_);
       }
       ctemp_ = env.region->allocate<double>(nc_ * nc_);
       progress_ = env.region->allocate<std::int64_t>(kCacheLine / sizeof(std::int64_t));
-      if (cfg_.cache_bytes > 0) {
-        fault_.emulate({.size_bytes = cfg_.cache_bytes, .ways = cfg_.cache_ways});
+      if (fault_.emulated()) {
         // Registration order places the regions in the cache model.
         fault_.track_input("mm.Ac", std::span<const double>(ac_.data(), nc_ * cfg_.n));
         fault_.track_input("mm.Br", std::span<const double>(br_.data(), cfg_.n * nc_));
@@ -333,33 +325,14 @@ void MmWorkload::make_durable() {
   }
 }
 
-void MmWorkload::wait_durable() {
-  // Joins an in-flight async checkpoint drain (--ckpt_async); other engines
-  // are durable the moment make_durable returns.
-  if (ckpt_) ckpt_->wait_durable();
-}
-
-bool MmWorkload::durability_pending() const { return ckpt_ && ckpt_->async_pending(); }
-
 void MmWorkload::inject_crash() {
-  crashed_done_ = done_;
-  // Power failure: cut off an in-flight checkpoint drain before the volatile
-  // state (and the DRAM staging) is discarded.
-  if (ckpt_) ckpt_->abort_async();
-  if (env_ != nullptr && env_->dram) env_->dram->discard();
-  switch (engine_) {
-    case core::DurabilityKind::kNone:
-    case core::DurabilityKind::kCheckpoint:
-      cf_.set_zero();  // The DRAM accumulator dies with the power.
-      ckpt_step_ = 0;
-      break;
-    case core::DurabilityKind::kTransaction:
-      break;  // All run state lives in the durable heap.
-    case core::DurabilityKind::kAlgorithm:
-      // All run state lives in the arena; emulated, it now holds only what
-      // NVM held.
-      fault_.power_fail();
-      break;
+  begin_crash();
+  // The DRAM accumulator dies with the power. The pmem-tx and alg-* engines
+  // keep all run state in the heap / arena (emulated, the arena now holds
+  // only what NVM held).
+  if (engine_ == core::DurabilityKind::kNone || engine_ == core::DurabilityKind::kCheckpoint) {
+    cf_.set_zero();
+    ckpt_step_ = 0;
   }
 }
 
@@ -430,20 +403,14 @@ core::WorkloadRecovery MmWorkload::recover() {
       cf_.set_zero();
       done_ = 0;
       break;
-    case core::DurabilityKind::kCheckpoint: {
-      const std::uint64_t ver = ckpt_->restore();
-      const auto& rs = ckpt_->last_restore();
-      rec.candidates_checked += rs.chunks_probed;
-      rec.torn_chunks = rs.torn_chunks;
-      rec.salvaged_chunks = rs.salvaged_chunks;
-      if (ver != 0) {
+    case core::DurabilityKind::kCheckpoint:
+      if (restore_checkpoint(rec) != 0) {
         done_ = static_cast<std::size_t>(ckpt_step_);
       } else {
         cf_.set_zero();
         done_ = 0;
       }
       break;
-    }
     case core::DurabilityKind::kTransaction:
       log_->recover();  // Rolls back an uncommitted transaction, if any.
       done_ = static_cast<std::size_t>(tx_step_[0]);
@@ -486,9 +453,7 @@ core::WorkloadRecovery MmWorkload::recover() {
       break;
     }
   }
-  rec.restart_unit = done_ + 1;
-  rec.units_lost += crashed_done_ - done_;
-  return rec;
+  return finish_recovery(rec);
 }
 
 Matrix MmWorkload::result() const {
@@ -533,21 +498,9 @@ bool MmWorkload::verify() {
 
 ADCC_REGISTER_WORKLOAD(
     "mm", "ABFT dense matrix multiplication (paper SIII-C, Figs. 5-8)",
-    [](const Options& opts) -> std::unique_ptr<core::Workload> {
+    [](const Options& opts) {
       ADCC_CHECK(!opts.has("policy"), "policy: only the mc alg-* engines have a flush policy");
-      const MmWorkloadConfig cfg = mm_workload_config(opts);
-      const std::size_t shards = opts.get_size("shards", 1);
-      if (shards > 1) {
-        ADCC_CHECK(cfg.cache_bytes == 0,
-                   "cache_mb: the crash emulator runs only under unsharded alg-* engines");
-        return std::make_unique<core::ShardGroup>(
-            std::make_unique<MmShardPlan>(cfg),
-            core::ShardGroupConfig{shards},
-            [cfg]() -> std::unique_ptr<core::Workload> {
-              return std::make_unique<MmWorkload>(cfg);
-            });
-      }
-      return std::make_unique<MmWorkload>(cfg);
+      return core::make_adapter<MmWorkload, MmShardPlan>(opts, mm_workload_config(opts));
     });
 
 }  // namespace adcc::mm

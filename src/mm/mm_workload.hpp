@@ -18,18 +18,13 @@
 // is host memory and keeps every store.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "abft/checksum.hpp"
-#include "checkpoint/checkpoint_set.hpp"
 #include "common/options.hpp"
-#include "core/fault.hpp"
-#include "core/registry.hpp"
-#include "core/workload.hpp"
-#include "pmemtx/tx.hpp"
+#include "core/adapter.hpp"
 
 namespace adcc::mm {
 
@@ -50,7 +45,7 @@ struct MmWorkloadConfig {
 /// --quick).
 MmWorkloadConfig mm_workload_config(const Options& opts);
 
-class MmWorkload final : public core::Workload {
+class MmWorkload final : public core::AdapterBase {
  public:
   explicit MmWorkload(const MmWorkloadConfig& cfg);
 
@@ -61,25 +56,18 @@ class MmWorkload final : public core::Workload {
 
   std::string name() const override { return "mm"; }
   std::size_t work_units() const override;
-  std::size_t units_done() const override { return done_; }
   void prepare(core::ModeEnv& env) override;
   bool run_step() override;
   void make_durable() override;
-  void wait_durable() override;
-  bool durability_pending() const override;
   void inject_crash() override;
   core::WorkloadRecovery recover() override;
   bool verify() override;
   void tune_env(core::Mode mode, core::ModeEnvConfig& cfg) const override;
-  core::FaultSurface* fault() override { return &fault_; }
 
   std::size_t num_panels() const { return panels_; }
 
   /// The n×n product (checksums stripped); valid once the run completed.
   linalg::Matrix result() const;
-
-  /// pmem-tx: the undo log's counters (null before a pmem-tx prepare).
-  const pmemtx::UndoLogStats* tx_log_stats() const { return log_ ? &log_->stats() : nullptr; }
 
  private:
   void multiply_panel_into(std::size_t s, double* out, bool accumulate) const;
@@ -97,20 +85,11 @@ class MmWorkload final : public core::Workload {
   linalg::Matrix ac_, br_;  ///< Encoded inputs (immutable).
   std::optional<linalg::Matrix> reference_;
 
-  core::ModeEnv* env_ = nullptr;
-  core::DurabilityKind engine_ = core::DurabilityKind::kNone;
-  core::FaultSurface fault_;  ///< Mid-unit crash surface (emulated: alg + cache_mb).
-  std::size_t done_ = 0;
-  std::size_t crashed_done_ = 0;
-
   // native / ckpt state.
   linalg::Matrix cf_;
   std::uint64_t ckpt_step_ = 0;
-  std::unique_ptr<checkpoint::CheckpointSet> ckpt_;
 
   // pmem-tx state.
-  std::unique_ptr<pmemtx::PersistentHeap> heap_;
-  std::unique_ptr<pmemtx::UndoLog> log_;
   std::span<double> tx_cf_;
   std::span<std::uint64_t> tx_step_;
 

@@ -45,7 +45,6 @@ class DramCache {
   std::size_t capacity() const { return staging_.size(); }
   std::size_t pending() const { return pending_bytes_; }
   const DramCacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   struct Pending {

@@ -66,7 +66,6 @@ class NvmRegion {
 
   PerfModel& perf_model() { return model_; }
   const RegionStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   AlignedBuffer buf_;

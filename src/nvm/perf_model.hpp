@@ -46,7 +46,6 @@ class PerfModel {
 
   const PerfConfig& config() const { return cfg_; }
   const PerfStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// One-time memcpy sweep measuring sustained DRAM copy bandwidth.
   static double calibrate_dram_bandwidth();

@@ -61,7 +61,6 @@ class UndoLog {
 
   bool in_tx() const { return active_; }
   const UndoLogStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   // Log layout: [Header][entry hdr | old bytes]*  (entries cache-line padded).

@@ -141,13 +141,6 @@ TEST(Correct, NoopOnConsistentMatrix) {
   EXPECT_EQ(try_correct(cf, rep), 0u);
 }
 
-TEST(Rebuild, MakesDamagedChecksumsConsistent) {
-  Matrix cf = full_checksum_product(10, 4);
-  cf(10, 3) = -999.0;  // Destroy a checksum entry.
-  rebuild_checksums(cf);
-  EXPECT_TRUE(verify_full_checksums(cf).consistent());
-}
-
 TEST(StripChecksums, DropsLastRowAndColumn) {
   const Matrix cf = full_checksum_product(6, 1);
   const Matrix c = strip_checksums(cf);

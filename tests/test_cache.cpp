@@ -135,13 +135,6 @@ TEST(Cache, NonPowerOfTwoSetsRejected) {
   EXPECT_THROW(SetAssocCache{c}, ContractViolation);
 }
 
-TEST(Cache, ResetStatsClearsCounters) {
-  SetAssocCache c(tiny(2));
-  c.access(line(0), true);
-  c.reset_stats();
-  EXPECT_EQ(c.stats().misses, 0u);
-}
-
 // Property sweep: for any associativity, streaming W unique lines through a
 // single-set cache keeps exactly min(W, ways) resident and evicts the rest in
 // FIFO (=LRU for a pure stream) order.

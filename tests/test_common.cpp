@@ -257,6 +257,25 @@ TEST(Options, HelpTextGeneratedFromRegisteredKeys) {
   EXPECT_NE(help.find("--help"), std::string::npos);
 }
 
+TEST(Options, UndocumentedKeysAreRejectedByName) {
+  const char* argv[] = {"prog", "--cache_mb=1", "--cach_mb=1", "--help"};
+  Options o(4, const_cast<char**>(argv));
+  o.doc("cache_mb", "simulated LLC size, MB");
+  EXPECT_TRUE(o.documented("cache_mb"));
+  EXPECT_TRUE(o.documented("help"));  // --help lists itself.
+  EXPECT_FALSE(o.documented("cach_mb"));
+  std::string message = "(no exception)";
+  try {
+    o.reject_undocumented();
+  } catch (const ContractViolation& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, "unknown option --cach_mb (see --help)");
+
+  o.doc("cach_mb", "now documented");
+  EXPECT_NO_THROW(o.reject_undocumented());
+}
+
 TEST(Options, MaybePrintHelpOnlyWhenRequested) {
   const char* argv[] = {"prog", "--help"};
   Options with(2, const_cast<char**>(argv));

@@ -38,7 +38,7 @@ TEST(MemSim, WriteIsNotDurableWhileCached) {
   f.buf[0] = 100.0;
   f.sim.on_write(&f.buf[0], sizeof(double));
   EXPECT_DOUBLE_EQ(f.sim.durable_value(&f.buf[0]), 0.0);  // NVM still stale.
-  EXPECT_TRUE(f.sim.line_dirty(&f.buf[0]));
+  EXPECT_EQ(f.sim.dirty_line_census()[0].dirty_lines, 1u);
 }
 
 TEST(MemSim, ClflushMakesWriteDurable) {
@@ -47,7 +47,7 @@ TEST(MemSim, ClflushMakesWriteDurable) {
   f.sim.on_write(&f.buf[0], sizeof(double));
   f.sim.clflush(&f.buf[0], sizeof(double));
   EXPECT_DOUBLE_EQ(f.sim.durable_value(&f.buf[0]), 100.0);
-  EXPECT_FALSE(f.sim.line_dirty(&f.buf[0]));
+  EXPECT_EQ(f.sim.dirty_line_census()[0].dirty_lines, 0u);
 }
 
 TEST(MemSim, EvictionWritesBack) {
@@ -80,24 +80,25 @@ TEST(MemSim, CrashDropsDirtyCache) {
   EXPECT_DOUBLE_EQ(f.sim.durable_value(&f.buf[0]), 0.0);  // The write died.
 }
 
-TEST(MemSim, RestoreRegionReloadsLiveFromDurable) {
+TEST(MemSim, RestoreAllReloadsLiveFromDurable) {
   Fixture f;
   f.buf[0] = 100.0;
   f.sim.on_write(&f.buf[0], sizeof(double));
   f.sim.crash();
-  f.sim.restore_region(f.id);
+  f.sim.restore_all();
   EXPECT_DOUBLE_EQ(f.buf[0], 0.0);  // Live view rolled back to NVM contents.
 }
 
-TEST(MemSim, DrainPersistsEverythingDirty) {
+TEST(MemSim, ClflushRangePersistsEveryDirtyLine) {
   Fixture f;
   for (std::size_t i = 0; i < 16; i += 8) {
     f.buf[i] = 50.0 + static_cast<double>(i);
     f.sim.on_write(&f.buf[i], sizeof(double));
   }
-  f.sim.drain();
+  f.sim.clflush(f.buf.data(), 16 * sizeof(double));
   EXPECT_DOUBLE_EQ(f.sim.durable_value(&f.buf[0]), 50.0);
   EXPECT_DOUBLE_EQ(f.sim.durable_value(&f.buf[8]), 58.0);
+  EXPECT_EQ(f.sim.dirty_line_census()[0].dirty_lines, 0u);
 }
 
 TEST(MemSim, ReadOnlyRegionDurableEqualsLive) {

@@ -303,12 +303,12 @@ TEST(RunSweep, NativeBaselineDropsTheAlgOnlyKeys) {
   }
 }
 
-TEST(RunSweep, CkptThreadsAndChunkSizeAreFirstClassAxes) {
+TEST(RunSweep, CkptThreadsAndCompressionAreFirstClassAxes) {
   // The durability-engine knobs sweep like any other option key, and every
-  // (threads, chunk) combination verifies under crash-free and crashing runs
-  // — thread count is a perf knob, never a semantics knob.
+  // (threads, codec) combination verifies under crash-free and crashing runs
+  // — thread count and compression are perf knobs, never semantics knobs.
   const SweepSpec spec = parse_ok(
-      "workload=cg,mode=ckpt-nvm,ckpt_threads=1+4,ckpt_chunk_kb=4+256,crash=none+step:2");
+      "workload=cg,mode=ckpt-nvm,ckpt_threads=1+4,ckpt_compress=none+lz,crash=none+step:2");
   const SweepResult deck = run_sweep(spec, tiny_config(1));
   ASSERT_EQ(deck.cells.size(), 8u);
   EXPECT_TRUE(deck.all_ok());
